@@ -44,6 +44,10 @@ from .zonotopes import (
 )
 
 SKELETON_MAX_DIMENSION = 7
+# The closed-form counts grow to about 0.45 d decimal digits (1,848 at
+# d = 4095), well inside Python's default limit of 4,300 digits for
+# int-to-string conversion.
+CLOSED_FORM_MAX_DIMENSION = 4095
 
 _RATIONAL = re.compile(r"-?\d+/\d+\Z")
 
@@ -137,6 +141,10 @@ def _load_graph(path: Optional[str]) -> Graph:
 
 
 def _cmd_sparsecut(args) -> int:
+    if args.d > CLOSED_FORM_MAX_DIMENSION:
+        raise UsageError(
+            "sparse-cut reports are limited to d <= %d" % CLOSED_FORM_MAX_DIMENSION
+        )
     if args.report == "counts":
         _emit(args, counts_to_json(args.d))
     elif args.report == "cut":

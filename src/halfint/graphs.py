@@ -18,6 +18,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .rationals import int_from_json
+
 MAX_EXPANSION_VERTICES = 26
 
 
@@ -57,11 +59,17 @@ class Graph:
 
     @staticmethod
     def from_json(data: Mapping) -> "Graph":
+        """Parse ``to_json`` output; a non-integer count or index is rejected."""
         labels = [str(x) for x in data["labels"]]
         # "n" is redundant with the label list; optional on input
-        if "n" in data and int(data["n"]) != len(labels):
+        if "n" in data and int_from_json(data["n"], "vertex count") != len(labels):
             raise ValueError("vertex count does not match label list")
-        return make_graph(labels, [(int(u), int(v)) for u, v in data["edges"]])
+        edges = []
+        for edge in data["edges"]:
+            if not isinstance(edge, list) or len(edge) != 2:
+                raise ValueError("edge %r is not a pair of vertex indices" % (edge,))
+            edges.append(tuple(int_from_json(x, "edge index") for x in edge))
+        return make_graph(labels, edges)
 
     def to_dot(self) -> str:
         lines = ["graph G {"]

@@ -7,10 +7,9 @@ serialized form of a scalar is the string ``"p/q"``, or just ``"p"``
 when the denominator is 1, which is exactly what ``str(Fraction)``
 produces.
 
-gmpy2's ``mpq`` type is used as a drop-in rational inside numerical hot
-loops when available; it hashes and compares equal to ``Fraction``, so
-values of the two types may be mixed freely.  No floating point enters
-any computation.
+No floating point enters any computation.  The hot loops (the simplex
+tableau, the skeleton oracle) scale their rationals to integers by a
+common denominator.
 """
 
 from __future__ import annotations
@@ -18,11 +17,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-try:
-    from gmpy2 import mpq as fastq
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    fastq = Fraction
 
 Point = "tuple[Fraction, ...]"
 
@@ -38,12 +32,22 @@ def rational_from_str(text: str) -> Fraction:
 
     Decimal notation is rejected on purpose: every number in this
     package is an exact rational, and accepting "0.1" would invite
-    silently inexact inputs.
+    silently inexact inputs.  So is anything but a string: a JSON number
+    such as ``1`` or ``0.5`` must be written ``"1"`` or ``"1/2"``.
     """
+    if not isinstance(text, str):
+        raise ValueError("not a rational string: %r" % (text,))
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ValueError("not a canonical rational string: %r" % text)
     return Fraction(text)
+
+
+def int_from_json(value, what: str) -> int:
+    """``value`` if it is an integer: a float is not truncated, a boolean not counted."""
+    if type(value) is not int:
+        raise ValueError("%s %r is not an integer" % (what, value))
+    return value
 
 
 def rational_to_str(value) -> str:

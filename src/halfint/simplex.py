@@ -1,4 +1,4 @@
-"""Exact linear programming over the rationals.
+"""Exact linear programming over the rationals, in integer arithmetic.
 
 Feasibility and optimization for systems ``A x = b, x >= 0`` via the
 simplex method with Bland's anti-cycling rule, which makes termination
@@ -6,131 +6,148 @@ unconditional.  Exactness makes every verdict a certificate: a returned
 witness satisfies the constraints with equality, ``None`` means the
 system is infeasible, and an optimal value is exact.
 
-Tableau arithmetic runs on gmpy2 rationals when available (several
-times faster than Fraction) and converts back to Fraction at the
-boundary.
+The tableau is fraction-free (Bareiss 1968).  The system is scaled by
+one common denominator, so the starting tableau ``[A | I | b]`` is
+integral with basis determinant 1.  From then on every entry is ``det``
+times the entry of the rational tableau, where ``det > 0`` is the basis
+determinant up to sign.  A pivot on ``p`` replaces every other row
+``a`` by ``(p * a - f * r) // det``, where ``r`` is the pivot row and
+``f`` the row's entry in the entering column; the division is exact by
+Sylvester's identity.  A positive scale changes no sign and no ratio
+that Bland's rule reads, so the pivots are the ones a rational tableau
+takes.  Witnesses and values leave as ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
-from .rationals import fastq
-
-_Q0 = fastq(0)
-_Q1 = fastq(1)
+_ZERO = Fraction(0)
 
 
-def _to_fraction(value) -> Fraction:
-    return Fraction(int(value.numerator), int(value.denominator))
+def _scaled(values: Sequence, den: int) -> list[int]:
+    """``den * values`` as integers; ``den`` is a multiple of every denominator."""
+    return [x.numerator * (den // x.denominator) for x in values]
+
+
+def _eliminate(row: list[int], prow: list[int], column: int, det: int) -> list[int]:
+    """Bareiss update of ``row`` by the pivot row ``prow`` in ``column``."""
+    p = prow[column]
+    f = row[column]
+    if f:
+        return [(p * a - f * b) // det for a, b in zip(row, prow)]
+    if p != det:
+        return [p * a // det for a in row]
+    return row
 
 
 class _Tableau:
-    """Simplex tableau for ``A x = b, x >= 0`` with artificial basis."""
+    """Integer simplex tableau for ``A x = b, x >= 0`` with artificial basis.
+
+    Each row holds ``det`` times a row of the rational tableau, with its
+    right-hand side in the last slot, index ``width``.  Reduced-cost rows
+    have the same layout and hold the negated objective value there.
+    """
 
     def __init__(self, rows: Sequence[Sequence], rhs: Sequence):
         self.m = len(rows)
         self.n = len(rows[0]) if self.m else 0
         self.width = self.n + self.m
-        self.rows: list[list] = []
+        self.det = 1
+        den = lcm(
+            *{x.denominator for row in rows for x in row}, *{x.denominator for x in rhs}
+        )
+        self.rows: list[list[int]] = []
         for i in range(self.m):
-            row = [fastq(x) for x in rows[i]]
-            b = fastq(rhs[i])
+            row = _scaled(rows[i], den)
+            b = rhs[i].numerator * (den // rhs[i].denominator)
             if b < 0:
                 row = [-x for x in row]
                 b = -b
-            row.extend(_Q1 if j == i else _Q0 for j in range(self.m))
+            row.extend(1 if j == i else 0 for j in range(self.m))
             row.append(b)
             self.rows.append(row)
         self.basis = [self.n + i for i in range(self.m)]
 
-    def pivot(self, pivot_row: int, entering: int) -> list:
+    def pivot(self, pivot_row: int, entering: int, cost: Optional[list[int]] = None):
+        """Pivot every row, and ``cost`` if given; returns the updated cost row."""
         prow = self.rows[pivot_row]
-        pivot = prow[entering]
-        if pivot != 1:
-            inv = _Q1 / pivot
-            self.rows[pivot_row] = prow = [x * inv for x in prow]
+        det = self.det
         for i in range(self.m):
             if i != pivot_row:
-                factor = self.rows[i][entering]
-                if factor != 0:
-                    trow = self.rows[i]
-                    self.rows[i] = [a - factor * b for a, b in zip(trow, prow)]
+                self.rows[i] = _eliminate(self.rows[i], prow, entering, det)
+        if cost is not None:
+            cost = _eliminate(cost, prow, entering, det)
         self.basis[pivot_row] = entering
-        return prow
+        self.det = prow[entering]
+        return cost
 
-    def minimize(self, cost: list, objective, allowed_width: int, stop_when_negative: bool = False):
+    def minimize(self, cost: list[int], allowed_width: int, stop_when_negative: bool = False):
         """Run Bland pivots until the reduced costs are nonnegative.
 
-        ``cost`` is the reduced-cost row and ``objective`` the current
-        value of the minimized functional; both are updated in place /
-        returned.  Entering variables are restricted to the first
-        ``allowed_width`` columns.  With ``stop_when_negative`` the loop
-        exits as soon as the objective drops below zero (the caller only
-        needs the sign).
+        ``cost`` is the reduced-cost row; the updated row is returned.
+        Entering variables are restricted to the first ``allowed_width``
+        columns.  With ``stop_when_negative`` the loop exits as soon as
+        the objective drops below zero (the caller only needs the sign).
         """
         m = self.m
+        w = self.width
+        rows = self.rows
         while True:
-            if stop_when_negative and objective < 0:
-                return cost, objective
-            entering = next(
-                (j for j in range(allowed_width) if cost[j] < 0), None
-            )
+            if stop_when_negative and cost[w] > 0:
+                return cost
+            entering = next((j for j in range(allowed_width) if cost[j] < 0), None)
             if entering is None:
-                return cost, objective
+                return cost
             pivot_row = None
-            best_ratio = None
             for i in range(m):
-                coef = self.rows[i][entering]
+                coef = rows[i][entering]
                 if coef > 0:
-                    ratio = self.rows[i][self.width] / coef
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and self.basis[i] < self.basis[pivot_row])
-                    ):
-                        best_ratio = ratio
-                        pivot_row = i
+                    if pivot_row is None:
+                        pivot_row, num, den = i, rows[i][w], coef
+                        continue
+                    # rows[i][w] / coef against num / den, all positive denominators
+                    lhs = rows[i][w] * den
+                    rhs = num * coef
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[pivot_row]):
+                        pivot_row, num, den = i, rows[i][w], coef
             if pivot_row is None:
                 raise ArithmeticError("simplex objective unbounded below")
-            prow = self.pivot(pivot_row, entering)
-            factor = cost[entering]
-            if factor != 0:
-                cost = [a - factor * b for a, b in zip(cost, prow[: self.width])]
-                objective += factor * prow[self.width]
+            cost = self.pivot(pivot_row, entering, cost)
 
-    def run_phase1(self):
-        """Minimize the artificial sum; returns the residual objective."""
-        cost = [-sum(self.rows[i][j] for i in range(self.m)) for j in range(self.n)]
-        cost.extend(_Q0 for _ in range(self.m))
-        objective = sum(self.rows[i][self.width] for i in range(self.m))
-        _, objective = self.minimize(cost, objective, self.width)
-        return objective
+    def run_phase1(self) -> bool:
+        """Minimize the artificial sum; whether it reaches zero."""
+        cost = [-sum(row[j] for row in self.rows) for j in range(self.n)]
+        cost.extend(0 for _ in range(self.m))
+        cost.append(-sum(row[self.width] for row in self.rows))
+        return self.minimize(cost, self.width)[self.width] == 0
 
     def drop_artificials(self) -> None:
-        """Drive basic artificials out, deleting dependent rows."""
+        """Drive basic artificials out, deleting dependent rows, then their columns."""
         keep = []
         for i in range(self.m):
             if self.basis[i] < self.n:
                 keep.append(i)
                 continue
-            entering = next(
-                (j for j in range(self.n) if self.rows[i][j] != 0), None
-            )
+            entering = next((j for j in range(self.n) if self.rows[i][j] != 0), None)
             if entering is not None:
                 self.pivot(i, entering)
+                if self.det < 0:
+                    self.rows = [[-x for x in row] for row in self.rows]
+                    self.det = -self.det
                 keep.append(i)
-        if len(keep) != self.m:
-            self.rows = [self.rows[i] for i in keep]
-            self.basis = [self.basis[i] for i in keep]
-            self.m = len(keep)
+        self.rows = [self.rows[i][: self.n] + self.rows[i][-1:] for i in keep]
+        self.basis = [self.basis[i] for i in keep]
+        self.m = len(keep)
+        self.width = self.n
 
     def solution(self) -> tuple[Fraction, ...]:
-        witness = [Fraction(0)] * self.n
-        for i in range(self.m):
-            if self.basis[i] < self.n:
-                witness[self.basis[i]] = _to_fraction(self.rows[i][self.width])
+        witness = [_ZERO] * self.n
+        for i, j in enumerate(self.basis):
+            if j < self.n:
+                witness[j] = Fraction(self.rows[i][self.width], self.det)
         return tuple(witness)
 
 
@@ -141,7 +158,7 @@ def lp_feasible(
     if not rows:
         return ()
     tab = _Tableau(rows, rhs)
-    if tab.run_phase1() != 0:
+    if not tab.run_phase1():
         return None
     return tab.solution()
 
@@ -163,23 +180,19 @@ def lp_maximize(
     if not rows:
         raise ValueError("maximization requires at least one constraint")
     tab = _Tableau(rows, rhs)
-    if tab.run_phase1() != 0:
+    if not tab.run_phase1():
         return None
     tab.drop_artificials()
-    # Minimize the negated objective; reduced costs relative to the
-    # current basis.
-    cost = [-fastq(c) for c in objective]
-    cost.extend(_Q0 for _ in range(tab.width - tab.n))
-    value = _Q0
-    for i in range(tab.m):
-        cb = cost[tab.basis[i]]
-        if cb != 0:
-            prow = tab.rows[i]
-            cost = [a - cb * b for a, b in zip(cost, prow[: tab.width])]
-            value += cb * prow[tab.width]
-    _, value = tab.minimize(cost, value, tab.n, stop_when_negative=stop_when_positive)
-    best = -value
-    return _to_fraction(best), tab.solution()
+    # Minimize the negated objective, scaled to integers; reduced costs
+    # relative to the current basis, negated value in the last slot.
+    den = lcm(*{c.denominator for c in objective})
+    cost = [-c for c in _scaled(objective, den)]
+    reduced = [tab.det * c for c in cost] + [0]
+    for i, j in enumerate(tab.basis):
+        if cost[j]:
+            reduced = [a - cost[j] * b for a, b in zip(reduced, tab.rows[i])]
+    reduced = tab.minimize(reduced, tab.n, stop_when_negative=stop_when_positive)
+    return Fraction(reduced[tab.width], tab.det * den), tab.solution()
 
 
 def convex_combination(

@@ -1,7 +1,10 @@
 """Vertex and edge structure of polytopes given as point sets.
 
-Everything is decided by exact rational linear programs, so the
-computed skeleton is a certificate, not an approximation.  A point is a
+Everything is decided by exact linear programs, so the computed
+skeleton is a certificate, not an approximation.  The oracles scale the
+points once by ``2 * lcm(denominators)`` and work on integer tuples
+from then on; the scaling changes no convex relation between the
+points and makes every midpoint of two of them integral.  A point is a
 hull vertex iff it lies outside the convex hull of the remaining
 points.  Two vertices are adjacent iff every convex representation of
 their midpoint is supported on the pair alone; the weaker test that
@@ -15,10 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import pairwise
+from math import lcm
 from typing import Iterable, Sequence
 
 from .graphs import Graph, make_graph
-from .rationals import midpoint, point_from_strs, point_label, vadd
+from .rationals import point_from_strs, point_label
 from .simplex import hull_system, lp_maximize, prune_candidates
 
 Point = tuple[Fraction, ...]
@@ -37,7 +42,9 @@ class PointSet:
             if len(p) != self.dim:
                 raise ValueError("point dimension mismatch")
         labels = tuple(point_label(p) for p in self.points)
-        if len(set(labels)) != len(labels):
+        # Sorting finds duplicates in a list of len(labels) pointers; a set
+        # would need a hash table about 12 times that size (2 MiB at d = 11).
+        if any(a == b for a, b in pairwise(sorted(labels))):
             raise ValueError("points must be distinct")
         object.__setattr__(self, "labels", labels)
 
@@ -61,26 +68,33 @@ class PointSet:
         return cls(dim=dim, points=pts)
 
 
+def _integer_points(pset: PointSet) -> list[tuple[int, ...]]:
+    """The points scaled by ``2 * lcm(denominators)``: even integer tuples."""
+    scale = 2 * lcm(*{x.denominator for p in pset.points for x in p})
+    return [tuple(x.numerator * (scale // x.denominator) for x in p) for p in pset.points]
+
+
 def hull_vertices(pset: PointSet) -> list[int]:
     """Indices of the points that are vertices of the convex hull."""
     from .simplex import convex_combination
 
     out = []
-    pts = pset.points
+    pts = _integer_points(pset)
     for i, p in enumerate(pts):
-        others = [q for j, q in enumerate(pts) if j != i]
+        others = pts[:i] + pts[i + 1 :]
         if not others or convex_combination(p, others) is None:
             out.append(i)
     return out
 
 
-def _adjacent(points: Sequence[Point], i: int, j: int) -> bool:
-    """Whether vertices ``i`` and ``j`` span an edge of the hull.
+def _adjacent(
+    points: Sequence[tuple[int, ...]], i: int, j: int, target: tuple[int, ...]
+) -> bool:
+    """Whether vertices ``i`` and ``j``, with midpoint ``target``, span an edge.
 
     Decided by maximizing the total representation weight carried by
     the other points: the pair is an edge iff that maximum is zero.
     """
-    target = midpoint(points[i], points[j])
     active = prune_candidates(target, points, list(range(len(points))))
     off = [k for k in active if k != i and k != j]
     if not off:
@@ -110,18 +124,19 @@ def hull_edges(pset: PointSet) -> list[tuple[int, int]]:
         raise ValueError(
             "not hull vertices: " + ", ".join(pset.labels[i] for i in bad)
         )
-    pts = pset.points
+    pts = _integer_points(pset)
     n = len(pts)
-    sums: dict[str, list[tuple[int, int]]] = {}
+    sums: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            sums.setdefault(point_label(vadd(pts[i], pts[j])), []).append((i, j))
+            key = tuple(a + b for a, b in zip(pts[i], pts[j]))
+            sums.setdefault(key, []).append((i, j))
     edges = []
-    for pairs in sums.values():
+    for key, pairs in sums.items():
         if len(pairs) > 1:
             continue
         i, j = pairs[0]
-        if _adjacent(pts, i, j):
+        if _adjacent(pts, i, j, tuple(s // 2 for s in key)):
             edges.append((i, j))
     edges.sort()
     return edges

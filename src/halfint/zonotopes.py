@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .graphs import Graph, connected_components, cycle_path_profile, make_graph
 from .linalg import minimal_circuit, rank
-from .rationals import HALF, ONE, ZERO, point_from_strs, point_to_strs
+from .rationals import HALF, ONE, ZERO, int_from_json, point_from_strs, point_to_strs
 from .simplex import lp_feasible
 from .skeleton import PointSet
 
@@ -60,8 +60,15 @@ class GeneratorSet:
 
     @staticmethod
     def from_json(data: Mapping) -> "GeneratorSet":
-        gens = [point_from_strs(coords) for coords in data["generators"]]
-        return canonicalize(gens, dim=int(data["dim"]))
+        dim = int_from_json(data["dim"], "dimension")
+        gens = []
+        for coords in data["generators"]:
+            if not isinstance(coords, list):
+                raise ValueError(
+                    "generator %r is not a list of rational strings" % (coords,)
+                )
+            gens.append(point_from_strs(coords))
+        return canonicalize(gens, dim=dim)
 
 
 def canonicalize(

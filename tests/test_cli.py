@@ -68,6 +68,15 @@ def test_sparsecut_skeleton_guard(capsys):
     assert "d <= 7" in err
 
 
+def test_sparsecut_closed_form_dimension_guard(capsys):
+    for report in ("counts", "cut"):
+        code, out, err = run(capsys, "sparsecut", "--d", "99999", "--report", report)
+        assert code == 2 and out == ""
+        assert "d <= 4095" in err
+    code, _, _ = run(capsys, "sparsecut", "--d", "4095", "--report", "counts")
+    assert code == 0
+
+
 def test_zono_recognize_cycle(capsys, tmp_path):
     path = write_json(tmp_path, "gens.json", HEX_GENS)
     code, out, _ = run(capsys, "zono", "--action", "recognize", "--in", path)
@@ -118,6 +127,13 @@ def test_zono_malformed_input(capsys, tmp_path):
     path2 = write_json(tmp_path, "bad2.json", {"dim": 2})
     code, _, err = run(capsys, "zono", "--action", "check", "--in", path2)
     assert code == 2
+
+
+def test_zono_rejects_numeric_generator_entry(capsys, tmp_path):
+    path = write_json(tmp_path, "numeric.json", {"dim": 1, "generators": [[1]]})
+    code, out, err = run(capsys, "zono", "--action", "check", "--in", path)
+    assert code == 2 and out == ""
+    assert "malformed generator input" in err and "Traceback" not in err
 
 
 def test_flow_cube_golden(capsys):
@@ -190,6 +206,15 @@ def test_graph_expansion_guard(capsys, tmp_path):
     path = write_json(tmp_path, "big.json", big.to_json())
     code, _, err = run(capsys, "graph", "--action", "expansion", "--in", path)
     assert code == 2
+
+
+@pytest.mark.parametrize("edge", [[1, 2.9], [True, 2]])
+def test_graph_rejects_non_integer_edge_index(capsys, tmp_path, edge):
+    data = {"labels": ["a", "b", "c"], "edges": [[0, 1], edge]}
+    path = write_json(tmp_path, "bad.json", data)
+    code, out, err = run(capsys, "graph", "--action", "expansion", "--in", path)
+    assert code == 2 and out == ""
+    assert "malformed graph input" in err and "is not an integer" in err
 
 
 def test_graph_product_dot(capsys, tmp_path):

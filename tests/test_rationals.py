@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +6,6 @@ from halfint.rationals import (
     HALF,
     ONE,
     ZERO,
-    fastq,
     is_zero_vector,
     midpoint,
     point_from_strs,
@@ -73,18 +71,3 @@ def test_vector_ops():
     assert is_zero_vector(vsub(u, u))
     assert not is_zero_vector(v)
 
-
-def test_fastq_matches_fraction_arithmetic():
-    rng = random.Random(7)
-    for _ in range(200):
-        a = Fraction(rng.randint(-50, 50), rng.randint(1, 30))
-        b = Fraction(rng.randint(-50, 50), rng.randint(1, 30))
-        qa, qb = fastq(a), fastq(b)
-        assert Fraction(int((qa + qb).numerator), int((qa + qb).denominator)) == a + b
-        assert Fraction(int((qa * qb).numerator), int((qa * qb).denominator)) == a * b
-        if b != 0:
-            q = qa / qb
-            assert Fraction(int(q.numerator), int(q.denominator)) == a / b
-        # comparisons agree with Fraction
-        assert (qa < qb) == (a < b)
-        assert (qa == qb) == (a == b)

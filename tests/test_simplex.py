@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 from halfint.simplex import (
+    _Tableau,
     convex_combination,
     hull_system,
     lp_feasible,
@@ -184,3 +185,139 @@ def test_maximize_off_pair_weight_distinguishes_edges():
 
     assert off_pair_max(0, 1) == 0  # bottom side: nobody else can help
     assert off_pair_max(0, 3) == 1  # diagonal: the other diagonal covers it
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _basic_solutions(rows, rhs):
+    """Nonnegative solutions supported on each column subset (test-local).
+
+    Every basic feasible solution appears, because a linearly independent
+    column subset has exactly one solution.
+    """
+    n = len(rows[0])
+    for size in range(min(len(rows), n) + 1):
+        for cols in combinations(range(n), size):
+            if size == 0:
+                sol = [] if all(b == 0 for b in rhs) else None
+            else:
+                sol = _solve_exact([[row[c] for c in cols] for row in rows], rhs)
+            if sol is not None and all(v >= 0 for v in sol):
+                x = [Fraction(0)] * n
+                for c, v in zip(cols, sol):
+                    x[c] = v
+                yield tuple(x)
+
+
+def _brute_maximize(rows, rhs, objective):
+    """"infeasible", "unbounded", or the maximum over basic solutions.
+
+    The maximum is unbounded exactly when some ray ``d >= 0`` with
+    ``rows . d = 0`` and ``sum(d) = 1`` has positive objective; those
+    rays form a polytope, so checking its basic solutions suffices.
+    """
+    points = list(_basic_solutions(rows, rhs))
+    if not points:
+        return "infeasible"
+    ray_rows = [list(row) for row in rows] + [[1] * len(objective)]
+    ray_rhs = [0] * len(rows) + [1]
+    if any(_dot(objective, d) > 0 for d in _basic_solutions(ray_rows, ray_rhs)):
+        return "unbounded"
+    return max(_dot(objective, x) for x in points)
+
+
+def _random_system(rng):
+    """Small system with denominators 1-4, some rows redundant or inconsistent."""
+    m, n = rng.randint(1, 4), rng.randint(1, 5)
+
+    def q(span=3):
+        return Fraction(rng.randint(-span, span), rng.choice((1, 2, 3, 4)))
+
+    rows = [[q() for _ in range(n)] for _ in range(m)]
+    if m > 1 and rng.random() < 0.3:
+        coeffs = [rng.randint(-2, 2) for _ in range(m - 1)]
+        rows[-1] = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]
+    if rng.random() < 0.6:
+        x = [abs(q()) if rng.random() < 0.6 else 0 for _ in range(n)]
+        rhs = [_dot(row, x) for row in rows]
+    else:
+        rhs = [q() for _ in range(m)]
+    objective = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 5))) for _ in range(n)]
+    return rows, rhs, objective
+
+
+def _assert_witness(rows, rhs, witness):
+    assert all(type(v) is Fraction and v >= 0 for v in witness)
+    assert [_dot(row, witness) for row in rows] == list(rhs)
+
+
+def test_lp_feasible_matches_basic_solutions_random():
+    rng = random.Random(20240222)
+    verdicts = set()
+    for _ in range(300):
+        rows, rhs, _ = _random_system(rng)
+        witness = lp_feasible(rows, rhs)
+        expected = next(_basic_solutions(rows, rhs), None) is not None
+        assert (witness is not None) == expected
+        if witness is not None:
+            _assert_witness(rows, rhs, witness)
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_lp_maximize_matches_basic_solutions_random():
+    rng = random.Random(1968)
+    outcomes = set()
+    for _ in range(300):
+        rows, rhs, objective = _random_system(rng)
+        expected = _brute_maximize(rows, rhs, objective)
+        if expected == "unbounded":
+            with pytest.raises(ArithmeticError):
+                lp_maximize(rows, rhs, objective)
+        elif expected == "infeasible":
+            assert lp_maximize(rows, rhs, objective) is None
+        else:
+            value, witness = lp_maximize(rows, rhs, objective)
+            assert type(value) is Fraction and value == expected
+            _assert_witness(rows, rhs, witness)
+            assert _dot(objective, witness) == value
+        outcomes.add(expected if isinstance(expected, str) else "optimal")
+    assert outcomes == {"infeasible", "unbounded", "optimal"}
+
+
+def test_lp_maximize_stop_when_positive_random():
+    rng = random.Random(2007)
+    for _ in range(300):
+        rows, rhs, objective = _random_system(rng)
+        expected = _brute_maximize(rows, rhs, objective)
+        if expected == "infeasible":
+            assert lp_maximize(rows, rhs, objective, stop_when_positive=True) is None
+            continue
+        try:
+            value, witness = lp_maximize(rows, rhs, objective, stop_when_positive=True)
+        except ArithmeticError:
+            assert expected == "unbounded"
+            continue
+        _assert_witness(rows, rhs, witness)
+        assert _dot(objective, witness) == value
+        if expected == "unbounded" or expected > 0:
+            assert value > 0
+        else:
+            assert value == expected
+
+
+def test_artificial_leaves_on_negative_pivot():
+    # 2x + y = 2, x + y = 2 forces x = 0, y = 2.  Phase 1 ends with the
+    # second row's artificial basic at zero and -1 as its first nonzero
+    # entry, so removing it pivots on a negative entry.
+    rows, rhs = [[2, 1], [1, 1]], [2, 2]
+    tab = _Tableau(rows, rhs)
+    assert tab.run_phase1()
+    row = next(i for i, j in enumerate(tab.basis) if j >= tab.n)
+    assert next(x for x in tab.rows[row][: tab.n] if x) < 0
+    tab.drop_artificials()
+    assert tab.det > 0 and tab.basis == [1, 0]
+    assert lp_maximize(rows, rhs, [1, 1]) == (2, (0, 2))
+    assert lp_maximize(rows, rhs, [Fraction(-1, 3), Fraction(1, 2)]) == (1, (0, 2))

@@ -99,3 +99,13 @@ def test_skeleton_report_shape():
     assert report["vertex_count"] == 3
     assert report["edge_count"] == 3
     assert report["edges"] == [[0, 1], [0, 2], [1, 2]]
+
+
+def test_edges_ignore_scaling_by_thirds_and_negative_shift():
+    # the oracle scales coordinates to integers; a prism scaled by 1/3 and
+    # shifted by -1 has thirds and negative coordinates, and the same edges
+    prism = [(x, y, z) for z in (0, 1) for x, y in ((0, 0), (1, 0), (0, 1))]
+    moved = [tuple(Fraction(c, 3) - 1 for c in p) for p in prism]
+    expected = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
+    assert hull_edges(PointSet.from_iterable(3, prism)) == expected
+    assert hull_edges(PointSet.from_iterable(3, moved)) == expected
