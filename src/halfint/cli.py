@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from decimal import Decimal
@@ -183,7 +182,7 @@ def _cmd_zono(args) -> int:
     return 0
 
 
-_FACTOR = re.compile(r"(cube|punctured):(\d+)\Z")
+_FACTOR = re.compile(r"(cube|punctured):([0-9]+)\Z")
 
 
 def _parse_factor(token: str) -> Routing:
@@ -253,13 +252,6 @@ def _add_common(sub) -> None:
         action="store_true",
         help="append decimal renderings of exact rationals",
     )
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker hint (computations are single-threaded; accepted for "
-        "interface stability, HALFINT_THREADS is the fallback)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,17 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_threads(args) -> None:
-    if args.threads is None:
-        env = os.environ.get("HALFINT_THREADS")
-        if env is not None:
-            if not env.isdigit() or int(env) < 1:
-                raise UsageError("HALFINT_THREADS must be a positive integer")
-            args.threads = int(env)
-    elif args.threads < 1:
-        raise UsageError("--threads must be a positive integer")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -340,7 +321,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        _resolve_threads(args)
         return args.func(args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)

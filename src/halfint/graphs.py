@@ -59,11 +59,16 @@ class Graph:
 
     @staticmethod
     def from_json(data: Mapping) -> "Graph":
-        """Parse ``to_json`` output; a non-integer count or index is rejected."""
-        labels = [str(x) for x in data["labels"]]
+        """Parse ``to_json`` output; a non-string label, or a non-integer
+        count or index, is rejected."""
+        labels = data["labels"]
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise ValueError("labels %r are not a list of strings" % (labels,))
         # "n" is redundant with the label list; optional on input
         if "n" in data and int_from_json(data["n"], "vertex count") != len(labels):
             raise ValueError("vertex count does not match label list")
+        if not isinstance(data["edges"], list):
+            raise ValueError("edges %r are not a list of index pairs" % (data["edges"],))
         edges = []
         for edge in data["edges"]:
             if not isinstance(edge, list) or len(edge) != 2:

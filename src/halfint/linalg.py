@@ -1,9 +1,8 @@
 """Exact linear algebra over the rationals.
 
-Row reduction, rank, kernel bases and minimal linear dependences
-(circuits) for small dense matrices.  Pivots are exact rationals, so no
-magnitude-based pivot selection is needed and results are reproducible
-bit for bit.
+Row reduction, rank and minimal linear dependences (circuits) for small
+dense matrices.  Pivots are exact rationals, so no magnitude-based pivot
+selection is needed and results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -51,30 +50,6 @@ def rank(rows: Sequence[Sequence]) -> int:
 def _columns_matrix(vectors: Sequence[Sequence]) -> list[list]:
     dim = len(vectors[0])
     return [[vec[i] for vec in vectors] for i in range(dim)]
-
-
-def kernel_basis(vectors: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
-    """Basis of ``{x : sum_i x_i * vectors[i] = 0}``.
-
-    The matrix whose columns are the given vectors is row reduced; each
-    free column contributes one basis element the standard way.  Basis
-    elements are ordered by ascending free-column index.
-    """
-    n = len(vectors)
-    if n == 0:
-        return []
-    reduced, pivots = rref(_columns_matrix(vectors))
-    pivot_row = {c: r for r, c in enumerate(pivots)}
-    basis = []
-    for free in range(n):
-        if free in pivot_row:
-            continue
-        x = [Fraction(0)] * n
-        x[free] = Fraction(1)
-        for col, r in pivot_row.items():
-            x[col] = -reduced[r][free]
-        basis.append(tuple(x))
-    return basis
 
 
 def minimal_circuit(

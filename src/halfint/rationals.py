@@ -24,7 +24,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
-_RATIONAL_RE = re.compile(r"-?\d+(/\d+)?\Z")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 
 
 def rational_from_str(text: str) -> Fraction:
@@ -67,25 +67,5 @@ def point_label(point: Sequence) -> str:
     return ",".join(rational_to_str(c) for c in point)
 
 
-def vadd(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c, u: Sequence) -> tuple:
-    return tuple(c * x for x in u)
-
-
-def vdot(u: Sequence, v: Sequence):
-    return sum(a * b for a, b in zip(u, v))
-
-
 def midpoint(u: Sequence, v: Sequence) -> tuple:
     return tuple((a + b) / 2 for a, b in zip(u, v))
-
-
-def is_zero_vector(u: Sequence) -> bool:
-    return all(x == 0 for x in u)

@@ -3,8 +3,10 @@
 A zonotope is the Minkowski sum of segments conv{0, g} over a set of
 generator vectors g.  Vertices correspond to sign assignments: the
 point sum_{sigma_k = +} g_k is a vertex exactly when some direction c
-satisfies sign(c . g_k) = sigma_k strictly for every k, an LP question
-answered exactly.
+satisfies sign(c . g_k) = sigma_k strictly for every k.  By Gordan's
+alternative (Gordan 1873) such a c exists exactly when the origin is
+not a convex combination of the signed generators sigma_k g_k, a hull
+membership question that ``convex_combination`` answers exactly.
 
 A zonotope is half-integral when, after translating each coordinate's
 minimum to zero, every vertex coordinate lies in {0, 1/2, 1}.  Such
@@ -30,7 +32,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .graphs import Graph, connected_components, cycle_path_profile, make_graph
 from .linalg import minimal_circuit, rank
 from .rationals import HALF, ONE, ZERO, int_from_json, point_from_strs, point_to_strs
-from .simplex import lp_feasible
+from .simplex import convex_combination
 from .skeleton import PointSet
 
 MAX_VERTEX_ENUM_GENERATORS = 20
@@ -61,8 +63,12 @@ class GeneratorSet:
     @staticmethod
     def from_json(data: Mapping) -> "GeneratorSet":
         dim = int_from_json(data["dim"], "dimension")
+        raw = data["generators"]
+        if not isinstance(raw, list) or not raw:
+            # with no generators nothing in the input bounds ``dim``
+            raise ValueError("generators %r are not a nonempty list" % (raw,))
         gens = []
-        for coords in data["generators"]:
+        for coords in raw:
             if not isinstance(coords, list):
                 raise ValueError(
                     "generator %r is not a list of rational strings" % (coords,)
@@ -111,34 +117,27 @@ def vertices_with_signs(
     Sign vectors are 0/1 tuples aligned with the generators; entry 1
     puts the generator on the positive side, and the vertex is the sum
     of the positive-side generators.  A sign vector is kept exactly when
-    some direction c has c . g_k > 0 for assigned 1 and < 0 for 0;
-    strictness is enforced by scaling (|c . g_k| >= 1).
+    some direction c has c . g_k > 0 for assigned 1 and < 0 for 0, that
+    is (Gordan) when the origin lies outside the convex hull of the
+    signed generators +-g_k.  With no generators the hull is empty and
+    the origin is the only vertex.
     """
-    n = len(gs.generators)
+    gens = gs.generators
+    n = len(gens)
     if n > MAX_VERTEX_ENUM_GENERATORS:
         raise ValueError(
             "vertex enumeration guarded at %d generators" % MAX_VERTEX_ENUM_GENERATORS
         )
-    d = gs.dim
-    if n == 0:
-        return [((), tuple(ZERO for _ in range(d)))]
+    negated = [tuple(-x for x in g) for g in gens]
+    origin = tuple(ZERO for _ in range(gs.dim))
     out = []
     for mask in range(1 << n):
         signs = tuple((mask >> k) & 1 for k in range(n))
-        rows = []
-        rhs = []
-        for k, g in enumerate(gs.generators):
-            sign = 1 if signs[k] else -1
-            row = [sign * x for x in g]
-            row += [-sign * x for x in g]
-            slack = [0] * n
-            slack[k] = -1
-            rows.append(row + slack)
-            rhs.append(1)
-        if lp_feasible(rows, rhs) is not None:
+        signed = [g if s else m for s, g, m in zip(signs, gens, negated)]
+        if convex_combination(origin, signed) is None:
             vertex = tuple(
-                sum((g[i] for k, g in enumerate(gs.generators) if signs[k]), ZERO)
-                for i in range(d)
+                sum((g[i] for s, g in zip(signs, gens) if s), ZERO)
+                for i in range(gs.dim)
             )
             out.append((signs, vertex))
     return out

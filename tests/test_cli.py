@@ -136,6 +136,26 @@ def test_zono_rejects_numeric_generator_entry(capsys, tmp_path):
     assert "malformed generator input" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("generators", [[], {}, "", {"0": ["1"]}])
+def test_zono_rejects_generators_that_are_not_a_nonempty_list(
+    capsys, tmp_path, generators
+):
+    # an empty list would let "dim" alone size the output: 10**12 coordinates
+    data = {"dim": 10**12, "generators": generators}
+    path = write_json(tmp_path, "gens.json", data)
+    code, out, err = run(capsys, "zono", "--action", "check", "--in", path)
+    assert code == 2 and out == ""
+    assert "malformed generator input" in err and "not a nonempty list" in err
+
+
+@pytest.mark.parametrize("entry", ["\u0661", "\u0661/\u0662", "1/\uff12"])
+def test_zono_rejects_non_ascii_digits(capsys, tmp_path, entry):
+    path = write_json(tmp_path, "gens.json", {"dim": 1, "generators": [[entry]]})
+    code, out, err = run(capsys, "zono", "--action", "check", "--in", path)
+    assert code == 2 and out == ""
+    assert "not a canonical rational string" in err
+
+
 def test_flow_cube_golden(capsys):
     code, out, _ = run(capsys, "flow", "--family", "cube", "--d", "4")
     assert code == 0
@@ -178,6 +198,14 @@ def test_flow_guards(capsys):
     assert run(capsys, "flow", "--family", "product")[0] == 2
 
 
+def test_flow_rejects_non_ascii_factor_dimension(capsys):
+    code, out, err = run(
+        capsys, "flow", "--family", "product", "--factors", "cube:\u0661,hexagon"
+    )
+    assert code == 2 and out == ""
+    assert "bad factor" in err
+
+
 def test_flow_routing_embed(capsys):
     code, out, _ = run(
         capsys, "flow", "--family", "cube", "--d", "1", "--routing"
@@ -215,6 +243,23 @@ def test_graph_rejects_non_integer_edge_index(capsys, tmp_path, edge):
     code, out, err = run(capsys, "graph", "--action", "expansion", "--in", path)
     assert code == 2 and out == ""
     assert "malformed graph input" in err and "is not an integer" in err
+
+
+@pytest.mark.parametrize("labels", [[1, 2, 3], ["a", None, "c"], "abc"])
+def test_graph_rejects_non_string_labels(capsys, tmp_path, labels):
+    data = {"labels": labels, "edges": [[0, 1]]}
+    path = write_json(tmp_path, "bad.json", data)
+    code, out, err = run(capsys, "graph", "--action", "expansion", "--in", path)
+    assert code == 2 and out == ""
+    assert "malformed graph input" in err and "not a list of strings" in err
+
+
+@pytest.mark.parametrize("edges", [{}, "", {"0": [0, 1]}])
+def test_graph_rejects_edges_that_are_not_a_list(capsys, tmp_path, edges):
+    a = write_json(tmp_path, "a.json", {"labels": ["a"], "edges": edges})
+    code, out, err = run(capsys, "graph", "--action", "product", "--in", a, "--in2", a)
+    assert code == 2 and out == ""
+    assert "malformed graph input" in err and "not a list of index pairs" in err
 
 
 def test_graph_product_dot(capsys, tmp_path):
@@ -266,13 +311,10 @@ def test_dot_rejected_without_graph(capsys):
     assert "DOT" in err
 
 
-def test_threads_flag_and_env(capsys, monkeypatch):
-    assert run(capsys, "flow", "--family", "hexagon", "--threads", "4")[0] == 0
-    assert run(capsys, "flow", "--family", "hexagon", "--threads", "0")[0] == 2
-    monkeypatch.setenv("HALFINT_THREADS", "2")
-    assert run(capsys, "flow", "--family", "hexagon")[0] == 0
-    monkeypatch.setenv("HALFINT_THREADS", "zero")
-    assert run(capsys, "flow", "--family", "hexagon")[0] == 2
+def test_threads_option_is_gone(capsys):
+    code, out, err = run(capsys, "flow", "--family", "hexagon", "--threads", "4")
+    assert code == 2 and out == ""
+    assert "--threads" in err
 
 
 def test_usage_errors(capsys):

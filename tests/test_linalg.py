@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from halfint.linalg import kernel_basis, minimal_circuit, rank, rref
+from halfint.linalg import minimal_circuit, rank, rref
 
 
 def F(x):
@@ -29,22 +29,6 @@ def test_rank_examples():
     assert rank([(F(0), F(0))]) == 0
 
 
-def test_kernel_basis_simple_dependence():
-    # e1, e2, e1+e2: one relation, namely v0 + v1 - v2 = 0
-    vecs = [(F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
-    basis = kernel_basis(vecs)
-    assert len(basis) == 1
-    coeffs = basis[0]
-    combo = [
-        sum(c * v[i] for c, v in zip(coeffs, vecs)) for i in range(2)
-    ]
-    assert combo == [F(0), F(0)]
-
-
-def test_kernel_of_independent_set_is_empty():
-    assert kernel_basis([(F(1), F(0), F(0)), (F(0), F(1), F(0))]) == []
-
-
 def test_rank_nullity_random():
     rng = random.Random(20240229)
     for _ in range(30):
@@ -54,12 +38,13 @@ def test_rank_nullity_random():
             tuple(Fraction(rng.randint(-3, 3)) for _ in range(dim))
             for _ in range(count)
         ]
-        r = rank(vecs)
-        basis = kernel_basis(vecs)
-        assert r + len(basis) == count
-        for coeffs in basis:
+        found = minimal_circuit(vecs)
+        assert (rank(vecs) == count) == (found is None)
+        if found is not None:
+            indices, coeffs = found
+            assert all(c != 0 for c in coeffs)
             for i in range(dim):
-                assert sum(c * v[i] for c, v in zip(coeffs, vecs)) == 0
+                assert sum(c * vecs[k][i] for k, c in zip(indices, coeffs)) == 0
 
 
 def test_minimal_circuit_triangle():

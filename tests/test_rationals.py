@@ -6,17 +6,12 @@ from halfint.rationals import (
     HALF,
     ONE,
     ZERO,
-    is_zero_vector,
     midpoint,
     point_from_strs,
     point_label,
     point_to_strs,
     rational_from_str,
     rational_to_str,
-    vadd,
-    vdot,
-    vscale,
-    vsub,
 )
 
 
@@ -63,11 +58,5 @@ def test_point_round_trip_and_label():
 def test_vector_ops():
     u = (Fraction(1), Fraction(2), Fraction(3))
     v = (Fraction(1, 2), Fraction(0), Fraction(-1))
-    assert vadd(u, v) == (Fraction(3, 2), Fraction(2), Fraction(2))
-    assert vsub(u, v) == (Fraction(1, 2), Fraction(2), Fraction(4))
-    assert vscale(Fraction(2), v) == (Fraction(1), Fraction(0), Fraction(-2))
-    assert vdot(u, v) == Fraction(1, 2) - 3
     assert midpoint(u, v) == (Fraction(3, 4), Fraction(1), Fraction(1))
-    assert is_zero_vector(vsub(u, u))
-    assert not is_zero_vector(v)
 

@@ -1,10 +1,13 @@
 """Zonotope vertex enumeration, half-integrality, and graph recognition."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from halfint.graphs import cycle_graph, is_isomorphic_via, make_graph
+from halfint.linalg import rank
+from halfint.simplex import lp_feasible
 from halfint.zonotopes import (
     MAX_VERTEX_ENUM_GENERATORS,
     GeneratorSet,
@@ -82,6 +85,68 @@ def test_vertices_guard():
     with pytest.raises(ValueError):
         vertices_with_signs(canonicalize(gens))
     assert MAX_VERTEX_ENUM_GENERATORS == 20
+
+
+def _direction_lp_vertices(gs):
+    """Reference enumeration: keep a sign vector when the direction LP
+    sigma_k g_k . (c+ - c-) - s_k = 1, with c+, c-, s >= 0, is feasible."""
+    gens = gs.generators
+    n = len(gens)
+    out = []
+    for mask in range(1 << n):
+        signs = tuple((mask >> k) & 1 for k in range(n))
+        rows = []
+        for k, g in enumerate(gens):
+            sign = 1 if signs[k] else -1
+            slack = [0] * n
+            slack[k] = -1
+            rows.append([sign * x for x in g] + [-sign * x for x in g] + slack)
+        if lp_feasible(rows, [1] * n) is not None:
+            vertex = tuple(
+                sum((g[i] for k, g in enumerate(gens) if signs[k]), Fraction(0))
+                for i in range(gs.dim)
+            )
+            out.append((signs, vertex))
+    return out
+
+
+def _random_generator_sets(rng, count):
+    """Nonzero, pairwise non-collinear sets.  About a third of the draws
+    put more than d generators into a plane of d = 3 or d = 4 space."""
+    entries = [
+        Fraction(x) for x in ("0", "1", "-1", "1/2", "-1/2", "1/3", "2", "-3/4")
+    ]
+    sets = []
+    while len(sets) < count:
+        if rng.random() < 0.35:
+            d, span = rng.randint(3, 4), 2
+            n = rng.randint(d + 1, 7)
+        else:
+            d = span = rng.randint(1, 4)
+            n = rng.randint(1, 7)
+        basis = [[rng.choice(entries) for _ in range(d)] for _ in range(span)]
+        gens = []
+        for _ in range(n):
+            coeffs = [rng.choice(entries) for _ in range(span)]
+            gens.append(tuple(
+                sum((c * b[i] for c, b in zip(coeffs, basis)), Fraction(0))
+                for i in range(d)
+            ))
+        try:
+            sets.append(canonicalize(gens, dim=d))
+        except ValueError:  # a zero or collinear draw
+            continue
+    return sets
+
+
+def test_vertices_match_direction_lp_reference():
+    sets = _random_generator_sets(random.Random(20261018), 300)
+    lower = 0
+    for gs in sets:
+        assert vertices_with_signs(gs) == _direction_lp_vertices(gs), gs
+        if len(gs) > gs.dim and rank(gs.generators) < gs.dim:
+            lower += 1
+    assert lower >= 60
 
 
 @pytest.mark.parametrize("d,count", [(3, 6), (4, 14), (5, 30)])
