@@ -18,7 +18,6 @@ import json
 import re
 import sys
 from decimal import Decimal
-from fractions import Fraction
 from typing import Optional
 
 from .flows import (
@@ -123,20 +122,12 @@ def _load_json(path: Optional[str]):
         raise UsageError("cannot read input: %s" % exc)
 
 
-def _load_generators(path: Optional[str]) -> GeneratorSet:
+def _load(path: Optional[str], parse, what: str):
     data = _load_json(path)
     try:
-        return GeneratorSet.from_json(data)
+        return parse(data)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise UsageError("malformed generator input: %s" % exc)
-
-
-def _load_graph(path: Optional[str]) -> Graph:
-    data = _load_json(path)
-    try:
-        return Graph.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError("malformed graph input: %s" % exc)
+        raise UsageError("malformed %s input: %s" % (what, exc))
 
 
 def _cmd_sparsecut(args) -> int:
@@ -161,10 +152,10 @@ def _cmd_sparsecut(args) -> int:
 
 def _cmd_zono(args) -> int:
     if args.action == "realize":
-        graph = _load_graph(args.input)
+        graph = _load(args.input, Graph.from_json, "graph")
         _emit(args, realize_half_integral(graph).to_json())
         return 0
-    gens = _load_generators(args.input)
+    gens = _load(args.input, GeneratorSet.from_json, "generator")
     if args.action == "vertices":
         points = zonotope_vertices(gens)
         payload = dict(points.to_json(), vertex_count=len(points))
@@ -183,6 +174,15 @@ def _cmd_zono(args) -> int:
 
 
 _FACTOR = re.compile(r"(cube|punctured):([0-9]+)\Z")
+_INTEGER = re.compile(r"-?[0-9]+\Z")
+
+
+def _integer(text: str) -> int:
+    """Integer option value: ASCII digits with an optional minus sign, as
+    in the JSON readers (``int`` also takes other decimal digits and ``_``)."""
+    if _INTEGER.match(text) is None:
+        raise argparse.ArgumentTypeError("invalid integer %r" % text)
+    return int(text)
 
 
 def _parse_factor(token: str) -> Routing:
@@ -229,7 +229,7 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    graph = _load_graph(args.input)
+    graph = _load(args.input, Graph.from_json, "graph")
     if args.action == "expansion":
         value, witness = expansion_bruteforce(graph)
         payload = {"expansion": str(value), "witness": witness.to_json(graph)}
@@ -237,7 +237,8 @@ def _cmd_graph(args) -> int:
     else:
         if args.input2 is None:
             raise UsageError("the product action requires a second graph (--in2)")
-        product = cartesian_product(graph, _load_graph(args.input2))
+        other = _load(args.input2, Graph.from_json, "graph")
+        product = cartesian_product(graph, other)
         _emit(args, product.to_json(), product)
     return 0
 
@@ -263,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     sc = commands.add_parser("sparsecut", help="low-expansion polytope family")
-    sc.add_argument("--d", type=int, required=True, help="dimension, 3 mod 4")
+    sc.add_argument("--d", type=_integer, required=True, help="dimension, 3 mod 4")
     sc.add_argument(
         "--report", choices=("counts", "cut", "skeleton"), default="counts"
     )
@@ -288,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("cube", "punctured", "hexagon", "product"),
         required=True,
     )
-    fl.add_argument("--d", type=int, default=None)
+    fl.add_argument("--d", type=_integer, default=None)
     fl.add_argument(
         "--factors",
         default=None,

@@ -282,6 +282,25 @@ def connected_components(g: Graph) -> list[list[int]]:
     return components
 
 
+def component_shapes(g: Graph) -> list[tuple[int, bool]]:
+    """(edge count, is cycle) of each component of a degree-<=2 graph.
+
+    Components are ordered by minimum vertex, as in
+    ``connected_components``.  With every degree at most two, a
+    component is a cycle exactly when it has as many edges as vertices;
+    isolated vertices read (0, False).
+    """
+    adj = g.adjacency()
+    bad = next((v for v, neigh in enumerate(adj) if len(neigh) > 2), None)
+    if bad is not None:
+        raise ValueError("vertex %d has degree %d > 2" % (bad, len(adj[bad])))
+    shapes = []
+    for comp in connected_components(g):
+        edge_count = sum(len(adj[v]) for v in comp) // 2
+        shapes.append((edge_count, edge_count == len(comp)))
+    return shapes
+
+
 def cycle_path_profile(g: Graph) -> tuple[tuple[int, ...], int]:
     """Component shape of a degree-<=2 graph.
 
@@ -289,17 +308,6 @@ def cycle_path_profile(g: Graph) -> tuple[tuple[int, ...], int]:
     components of any split contribute only their edge counts; isolated
     vertices contribute nothing.
     """
-    degrees = [g.degree(v) for v in range(g.n)]
-    bad = next((v for v, deg in enumerate(degrees) if deg > 2), None)
-    if bad is not None:
-        raise ValueError("vertex %d has degree %d > 2" % (bad, degrees[bad]))
-    cycles = []
-    path_edges = 0
-    for comp in connected_components(g):
-        comp_set = set(comp)
-        edge_count = sum(1 for u, v in g.edges if u in comp_set)
-        if edge_count == len(comp):
-            cycles.append(len(comp))
-        else:
-            path_edges += edge_count
-    return tuple(sorted(cycles)), path_edges
+    shapes = component_shapes(g)
+    cycles = tuple(sorted(k for k, is_cycle in shapes if is_cycle))
+    return cycles, sum(k for k, is_cycle in shapes if not is_cycle)

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .graphs import Graph, make_graph
 from .rationals import point_from_strs, point_label
-from .simplex import hull_system, lp_maximize, prune_candidates
+from .simplex import convex_combination, hull_system, lp_maximize, prune_candidates
 
 Point = tuple[Fraction, ...]
 
@@ -76,13 +76,11 @@ def _integer_points(pset: PointSet) -> list[tuple[int, ...]]:
 
 def hull_vertices(pset: PointSet) -> list[int]:
     """Indices of the points that are vertices of the convex hull."""
-    from .simplex import convex_combination
-
     out = []
     pts = _integer_points(pset)
     for i, p in enumerate(pts):
         others = pts[:i] + pts[i + 1 :]
-        if not others or convex_combination(p, others) is None:
+        if convex_combination(p, others) is None:
             out.append(i)
     return out
 

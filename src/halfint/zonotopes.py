@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .graphs import Graph, connected_components, cycle_path_profile, make_graph
-from .linalg import minimal_circuit, rank
+from .graphs import Graph, component_shapes, make_graph
+from .linalg import minimal_circuit
 from .rationals import HALF, ONE, ZERO, int_from_json, point_from_strs, point_to_strs
 from .simplex import convex_combination
 from .skeleton import PointSet
@@ -303,9 +303,8 @@ def recognize_graphical(gs: GeneratorSet) -> Decomposition:
         circuit_coeffs.append(coeffs)
         removed = set(block)
         remaining = [k for k in remaining if k not in removed]
+    # minimal_circuit found no dependence, so these are independent
     independent = tuple(remaining)
-    if rank([gens[k] for k in independent]) != len(independent) and independent:
-        raise NotHalfIntegralError("leftover generators are not independent")
     supports = [_support(gens, b) for b in circuit_blocks]
     supports.append(_support(gens, independent))
     for a in range(len(supports)):
@@ -342,42 +341,25 @@ def realize_half_integral(g: Graph) -> GeneratorSet:
     """Canonical generators of a half-integral zonotope realizing g.
 
     g must have maximum degree two.  Every cycle component of length k
-    becomes k generators (1/2)(e_i - e_j) supported on a fresh block of
-    k coordinates (the k-th generator closes the circuit), and every
-    path component with m edges becomes m standard basis vectors on a
-    fresh block of m coordinates.  Components are processed in order of
-    their smallest vertex.
+    becomes k generators (1/2)(e_t - e_{t+1 mod k}) supported on a fresh
+    block of k coordinates, and every path component with m edges
+    becomes m standard basis vectors on a fresh block of m coordinates.
+    Components are processed in order of their smallest vertex.
     """
-    cycles, _ = cycle_path_profile(g)  # validates the degree bound
-    gens: list[tuple[Fraction, ...]] = []
-    offset = 0
-    dim = 0
-    plan: list[tuple[str, int]] = []
-    for comp in connected_components(g):
-        comp_set = set(comp)
-        edge_count = sum(1 for u, v in g.edges if u in comp_set)
-        if edge_count == 0:
-            continue
-        kind = "cycle" if edge_count == len(comp) else "path"
-        plan.append((kind, edge_count))
-        dim += edge_count
+    shapes = component_shapes(g)
+    dim = sum(k for k, _ in shapes)
     if dim == 0:
         raise ValueError("graph has no edges; nothing to realize")
-    for kind, k in plan:
-        if kind == "cycle":
-            for t in range(k - 1):
-                vec = [ZERO] * dim
-                vec[offset + t] = HALF
-                vec[offset + t + 1] = -HALF
-                gens.append(tuple(vec))
+    gens: list[tuple[Fraction, ...]] = []
+    offset = 0
+    for k, is_cycle in shapes:
+        for t in range(k):
             vec = [ZERO] * dim
-            vec[offset] = HALF
-            vec[offset + k - 1] = -HALF
-            gens.append(tuple(vec))
-        else:
-            for t in range(k):
-                vec = [ZERO] * dim
+            if is_cycle:
+                vec[offset + t] = HALF
+                vec[offset + (t + 1) % k] = -HALF
+            else:
                 vec[offset + t] = ONE
-                gens.append(tuple(vec))
+            gens.append(tuple(vec))
         offset += k
     return canonicalize(gens, dim=dim)

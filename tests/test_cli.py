@@ -77,6 +77,25 @@ def test_sparsecut_closed_form_dimension_guard(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sparsecut", "--d", "\u0667", "--report", "counts"),
+        ("sparsecut", "--d", "1_1", "--report", "counts"),
+        ("flow", "--family", "cube", "--d", "\u0663"),
+    ],
+    ids=[
+        "sparsecut-arabic-indic-seven",
+        "sparsecut-underscore",
+        "flow-arabic-indic-three",
+    ],
+)
+def test_integer_options_take_ascii_digits_only(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "invalid integer" in err and "Traceback" not in err
+
+
 def test_zono_recognize_cycle(capsys, tmp_path):
     path = write_json(tmp_path, "gens.json", HEX_GENS)
     code, out, _ = run(capsys, "zono", "--action", "recognize", "--in", path)

@@ -7,6 +7,7 @@ import pytest
 from halfint.graphs import (
     MAX_EXPANSION_VERTICES,
     cartesian_product,
+    component_shapes,
     connected_components,
     cut_ratio,
     cycle_graph,
@@ -201,8 +202,11 @@ def test_cycle_path_profile():
         [str(i) for i in range(8)],
         [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)],
     )
+    assert component_shapes(g) == [(3, True), (3, False), (0, False)]
     cycles, path_edges = cycle_path_profile(g)
     assert cycles == (3,)
     assert path_edges == 3
-    with pytest.raises(ValueError):
-        cycle_path_profile(make_graph("abcd", [(0, 1), (0, 2), (0, 3)]))
+    star = make_graph("abcd", [(0, 1), (0, 2), (0, 3)])
+    for summary in (component_shapes, cycle_path_profile):
+        with pytest.raises(ValueError, match=r"^vertex 0 has degree 3 > 2$"):
+            summary(star)

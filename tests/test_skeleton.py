@@ -45,6 +45,10 @@ def test_hull_vertices_drops_interior_and_segment_points():
 def test_hull_vertices_all_of_simplex():
     ps = PointSet.from_iterable(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert hull_vertices(ps) == [0, 1, 2, 3]
+    # a single point is a 0-simplex: its own hull vertex, with no edges
+    point = PointSet.from_iterable(2, [(H, 1)])
+    assert hull_vertices(point) == [0]
+    assert hull_edges(point) == []
 
 
 def test_hull_edges_requires_vertex_input():

@@ -293,6 +293,21 @@ def test_realize_c4_plus_p3():
     assert verdict
 
 
+def test_realize_exact_generators_path_before_cycle():
+    # components in order of smallest vertex: path 0-1-2, isolated 3,
+    # triangle 4-5-6; the path takes coordinates 0-1, the triangle 2-4
+    g = make_graph("abcdefg", [(0, 1), (1, 2), (4, 5), (5, 6), (6, 4)])
+    gs = realize_half_integral(g)
+    assert gs.dim == 5
+    assert gs.generators == (
+        (0, 0, 0, H, -H),
+        (0, 0, H, -H, 0),
+        (0, 0, H, 0, -H),
+        (0, 1, 0, 0, 0),
+        (1, 0, 0, 0, 0),
+    )
+
+
 def test_realize_rejects_edgeless():
     with pytest.raises(ValueError):
         realize_half_integral(make_graph(["a", "b"], []))
