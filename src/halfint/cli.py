@@ -17,7 +17,7 @@ import argparse
 import json
 import re
 import sys
-from decimal import Decimal
+from fractions import Fraction
 from typing import Optional
 
 from .flows import (
@@ -55,16 +55,18 @@ class UsageError(Exception):
 
 
 def _approx(text: str) -> str:
-    num, den = text.split("/")
-    value = Decimal(num) / Decimal(den)
-    return str(value.quantize(Decimal("0.000001")))
+    value = Fraction(text)  # round() takes a Fraction's ties to even
+    whole, micros = divmod(round(abs(value) * 10**6), 10**6)
+    return "%s%d.%06d" % ("-" if value < 0 else "", whole, micros)
 
 
 def _approx_map(payload, prefix: str = "") -> dict[str, str]:
-    """Flattened decimal renderings of every p/q string in ``payload``."""
+    """Flattened decimal renderings of every p/q string in ``payload``;
+    graph labels are names however they read ("1/0" among them)."""
     out: dict[str, str] = {}
     if isinstance(payload, dict):
-        items = payload.items()
+        labels = ("labels", "subset_labels")
+        items = ((k, v) for k, v in payload.items() if k not in labels)
     elif isinstance(payload, list):
         items = ((str(i), v) for i, v in enumerate(payload))
     else:

@@ -34,9 +34,6 @@ class Graph:
     def n(self) -> int:
         return len(self.labels)
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in self.labels]
         for u, v in self.edges:

@@ -179,21 +179,22 @@ def coordinate_budget(gs: GeneratorSet) -> tuple[bool, list[tuple[int, str]]]:
 def is_half_integral(
     gs: GeneratorSet,
 ) -> tuple[bool, Optional[tuple[Fraction, ...]]]:
-    """Decide half-integrality by full vertex enumeration.
+    """Decide half-integrality from the generator entries, with no LP.
 
-    Returns (verdict, translation); the translation shifts each
-    coordinate's vertex minimum to zero, and the verdict is whether all
-    translated vertex coordinates lie in {0, 1/2, 1}.
+    Returns (verdict, translation).  The verdict holds exactly when every
+    entry is 0, +-1/2 or +-1 and the coordinate budget holds: each g_k
+    is parallel to an edge whose endpoints differ by exactly g_k
+    (Ziegler, Lectures on Polytopes, Lecture 7), and coordinate i spans
+    sum_k |g_k[i]|; conversely, its vertex values are then subset sums
+    of one entry x or of two +-1/2 entries.  The translation, minus the
+    sum of each coordinate's negative entries, shifts its minimum to 0.
     """
-    vertices = zonotope_vertices(gs).points
-    minima = tuple(min(v[i] for v in vertices) for i in range(gs.dim))
-    translation = tuple(-m for m in minima)
-    allowed = (ZERO, HALF, ONE)
-    for v in vertices:
-        for x, t in zip(v, translation):
-            if x + t not in allowed:
-                return False, None
-    return True, translation
+    entries_ok = all(abs(x) in (ZERO, HALF, ONE) for g in gs.generators for x in g)
+    if not (entries_ok and coordinate_budget(gs)[0]):
+        return False, None
+    return True, tuple(
+        -sum((g[i] for g in gs.generators if g[i] < 0), ZERO) for i in range(gs.dim)
+    )
 
 
 @dataclass(frozen=True)
@@ -267,12 +268,11 @@ def _blocks_graph(cycle_lengths: Sequence[int], path_edges: int) -> Graph:
 def recognize_graphical(gs: GeneratorSet) -> Decomposition:
     """Decompose a half-integral zonotope into cycle and path blocks.
 
-    Half-integrality is checked first (cheap coordinate budget, then
-    exact vertex enumeration).  Circuits are then peeled off one at a
-    time; each must certify with +-1 coefficients and a coordinate
-    support disjoint from everything else, otherwise the input
-    contradicts half-integrality and the error says which condition
-    broke.
+    Half-integrality is checked first (coordinate budget, then generator
+    entries).  Circuits are then peeled off one at a time; each must
+    certify with +-1 coefficients and a coordinate support disjoint from
+    everything else, otherwise the input contradicts half-integrality
+    and the error says which condition broke.
     """
     ok, violations = coordinate_budget(gs)
     if not ok:

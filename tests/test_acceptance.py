@@ -283,7 +283,7 @@ def test_criterion_9_round_trip():
                 assert not (supports[i] & supports[j])
 
 
-@_criterion(10, "third-integral octagon rejected by budget and vertex check")
+@_criterion(10, "third-integral octagon rejected by budget and half-integrality check")
 def test_criterion_10_octagon_negative_control():
     gens = canonicalize(
         [

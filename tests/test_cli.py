@@ -125,6 +125,20 @@ def test_zono_vertices_stdin(capsys, monkeypatch):
     assert json.loads(out)["vertex_count"] == 6
 
 
+def test_zono_check_and_recognize_take_many_generators(capsys, tmp_path):
+    units = [["1" if i == k else "0" for i in range(24)] for k in range(24)]
+    path = write_json(tmp_path, "cube.json", {"dim": 24, "generators": units})
+    code, out, _ = run(capsys, "zono", "--action", "check", "--in", path)
+    assert code == 0
+    assert json.loads(out) == {"half_integral": True, "translation": ["0"] * 24}
+    code, out, _ = run(capsys, "zono", "--action", "recognize", "--in", path)
+    assert code == 0 and json.loads(out)["components"] == [{"path_edges": 24}]
+    # listing 2^24 vertices stays guarded
+    code, out, err = run(capsys, "zono", "--action", "vertices", "--in", path)
+    assert code == 2 and out == ""
+    assert "vertex enumeration guarded at 20 generators" in err
+
+
 def test_zono_realize(capsys, tmp_path):
     g = make_graph(
         ["c0", "c1", "c2", "c3", "p0", "p1", "p2"],
@@ -322,6 +336,30 @@ def test_approx_text(capsys):
         capsys, "flow", "--family", "hexagon", "--format", "text", "--approx"
     )
     assert "congestion: 3/4 (~0.750000)" in out
+
+
+@pytest.mark.parametrize("label", ["1/0", "1/3"], ids=["divides-by-zero", "one-third"])
+def test_approx_leaves_graph_labels_alone(capsys, tmp_path, label):
+    path = write_json(tmp_path, "g.json", {"labels": [label, "b"], "edges": [[0, 1]]})
+    code, out, err = run(capsys, "graph", "--action", "expansion", "--in", path, "--approx")
+    assert code == 0 and "Traceback" not in err
+    data = json.loads(out)
+    assert data["witness"]["subset_labels"] == [label]
+    assert "approx" not in data  # "1" is the only number, and it is an integer
+
+
+def test_approx_renders_long_rationals_exactly(capsys, tmp_path):
+    # 31 integer digits: more than the 28 significant digits of a Decimal
+    entries = ["10000000000000000000000000000001/3", "1/2000000", "3/2000000", "-1/3000000"]
+    path = write_json(tmp_path, "gens.json", {"dim": 4, "generators": [entries]})
+    code, out, err = run(capsys, "zono", "--action", "vertices", "--in", path, "--approx")
+    assert code == 0 and "Traceback" not in err
+    assert json.loads(out)["approx"] == {
+        "points.1.0": "3333333333333333333333333333333.666667",
+        "points.1.1": "0.000000",  # ties go to even
+        "points.1.2": "0.000002",
+        "points.1.3": "-0.000000",
+    }
 
 
 def test_dot_rejected_without_graph(capsys):

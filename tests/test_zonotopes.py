@@ -233,10 +233,81 @@ def test_is_half_integral_octagon():
 
 
 def test_is_half_integral_budget_pass_but_quarter():
-    # passes the per-coordinate budget yet fails on actual vertices
+    # passes the per-coordinate budget yet has an entry outside {0, +-1/2, +-1}
     gs = canonicalize([(Fraction(1, 4), 0), (0, 1)])
     assert coordinate_budget(gs)[0]
     assert is_half_integral(gs) == (False, None)
+
+
+def _enumerated_half_integral(gs):
+    """Reference: translate by the vertex minima, then test every vertex
+    coordinate against {0, 1/2, 1}."""
+    vertices = zonotope_vertices(gs).points
+    translation = tuple(-min(v[i] for v in vertices) for i in range(gs.dim))
+    for v in vertices:
+        if any(x + t not in (0, H, 1) for x, t in zip(v, translation)):
+            return False, None
+    return True, translation
+
+
+def _entry_sets(rng, count):
+    """Sparse sets on d 1-5, n 1-6; half the draws take entries from
+    {0, +-1/2, +-1} only, so many are half-integral."""
+    wide = [Fraction(x) for x in ("1", "-1", "1/2", "-1/2", "1/3", "1/4", "2", "-3/2")]
+    sets = []
+    while len(sets) < count:
+        d, n = rng.randint(1, 5), rng.randint(1, 6)
+        pool = wide[:4] if rng.random() < 0.5 else wide
+        gens = [
+            tuple(rng.choice(pool) if rng.random() < 0.4 else 0 for _ in range(d))
+            for _ in range(n)
+        ]
+        try:
+            sets.append(canonicalize(gens, dim=d))
+        except ValueError:  # a zero or collinear draw
+            continue
+    return sets
+
+
+def _flipped_realizations(rng):
+    """``realize_half_integral`` of every path/cycle union on <= 8
+    vertices, with a random set of coordinates negated."""
+    for cls in _component_classes(8):
+        gs = realize_half_integral(_build_union(cls))
+        flips = [rng.choice((1, -1)) for _ in range(gs.dim)]
+        yield canonicalize([tuple(f * x for f, x in zip(flips, g)) for g in gs.generators])
+
+
+def test_is_half_integral_matches_enumeration_reference():
+    rng = random.Random(20261018)
+    sets = _entry_sets(rng, 1500) + list(_flipped_realizations(rng))
+    half, entries_only, budget_only = 0, 0, 0
+    for gs in sets:
+        expected = _enumerated_half_integral(gs)
+        assert is_half_integral(gs) == expected, gs
+        half += expected[0]
+        entries_ok = all(x in (0, H, -H, 1, -1) for g in gs.generators for x in g)
+        budget_ok = coordinate_budget(gs)[0]
+        entries_only += budget_ok and not entries_ok
+        budget_only += entries_ok and not budget_ok
+    # each rule alone rejects some set, so dropping either one fails the test
+    assert half >= 300 and entries_only >= 50 and budget_only >= 50
+
+
+def test_half_integrality_runs_no_lp(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("convex_combination called")
+
+    monkeypatch.setattr("halfint.zonotopes.convex_combination", refuse)
+    prism = [(H, -H, 0, 0), (0, H, -H, 0), (H, 0, -H, 0), (0, 0, 0, 1)]
+    assert is_half_integral(canonicalize(HEXAGON_GENS)) == (True, (0, H, 1))
+    assert is_half_integral(canonicalize(prism)) == (True, (0, H, 1, 0))
+    quarter = canonicalize([(Fraction(1, 4), 0), (0, 1)])
+    assert is_half_integral(quarter) == (False, None)
+    assert recognize_graphical(canonicalize(HEXAGON_GENS)).component_profile() == ((3,), 0)
+    assert recognize_graphical(canonicalize(prism)).component_profile() == ((3,), 1)
+    with pytest.raises(NotHalfIntegralError, match="half-integral"):
+        recognize_graphical(quarter)
 
 
 def test_recognize_cycle():
