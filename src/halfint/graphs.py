@@ -3,10 +3,14 @@
 The edge expansion (Cheeger constant) of a graph is the minimum, over
 vertex subsets S with 0 < |S| <= n/2, of the number of boundary edges
 divided by |S|.  ``expansion_bruteforce`` evaluates that minimum
-exactly by scanning every cut once; the scan is vectorized over bitmask
-chunks with 64-bit integer arithmetic only, so the result is exact, and
-the witness reported for ties is the lexicographically smallest
-bitmask.
+exactly by scanning every cut once, for graphs of up to
+``MAX_EXPANSION_VERTICES`` vertices.  The scan meets in the middle: it
+splits the vertices into two halves, tabulates the boundary of every
+subset of each half, and adds the edges between the halves through a
+subset-sum table, so a cut costs the same few vectorized operations
+whatever the number of edges.  All arithmetic is 64-bit integer, so
+the result is exact, and the witness reported for ties is the
+lexicographically smallest bitmask.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from .rationals import int_from_json
 
-MAX_EXPANSION_VERTICES = 26
+MAX_EXPANSION_VERTICES = 30
 
 
 @dataclass(frozen=True)
@@ -74,11 +78,11 @@ class Graph:
         return make_graph(labels, edges)
 
     def to_dot(self) -> str:
+        """DOT text; each label is a quoted ID with ``\\`` and ``"`` escaped."""
+        ids = ['"%s"' % x.replace("\\", "\\\\").replace('"', '\\"') for x in self.labels]
         lines = ["graph G {"]
-        for label in self.labels:
-            lines.append('  "%s";' % label)
-        for u, v in self.sorted_edges():
-            lines.append('  "%s" -- "%s";' % (self.labels[u], self.labels[v]))
+        lines.extend("  %s;" % node for node in ids)
+        lines.extend("  %s -- %s;" % (ids[u], ids[v]) for u, v in self.sorted_edges())
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -138,17 +142,49 @@ def cut_ratio(graph: Graph, subset: Iterable[int]) -> CutReport:
     )
 
 
-def _popcount(masks: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(masks).astype(np.int64)
+def _bitmask(vertices: Iterable[int], first: int, stop: int) -> int:
+    """Bitmask of the vertices in range(first, stop), vertex ``first`` at bit 0."""
+    return sum(1 << (w - first) for w in vertices if first <= w < stop)
+
+
+def _boundary_table(
+    adjacency: Sequence[Sequence[int]], first: int, stop: int
+) -> np.ndarray:
+    """Boundary size of every subset X of range(first, stop), by bitmask.
+
+    Doubling over the vertices v in order uses |d(X + v)| = |d(X)| +
+    deg(v) - 2 |N(v) & X| for X among the vertices before v.
+    """
+    k = stop - first
+    table = np.zeros(1 << k, dtype=np.int64)
+    masks = np.arange(1 << k, dtype=np.int64)
+    for i, neigh in enumerate(adjacency[first:stop]):
+        below = slice(0, 1 << i)
+        common = np.bitwise_count(masks[below] & _bitmask(neigh, first, stop))
+        table[1 << i : 2 << i] = table[below] + len(neigh) - 2 * common.astype(np.int64)
+    return table
 
 
 def expansion_bruteforce(graph: Graph) -> tuple[Fraction, CutReport]:
     """Exact edge expansion with a witness cut.
 
     Every cut {S, V \\ S} is visited exactly once by enumerating the
-    side that avoids the last vertex.  Ratios are compared through the
-    scaled integer boundary * (L / min(|S|, n - |S|)) with L a fixed
+    side S that avoids the last vertex.  Ratios are compared through
+    the scaled integer boundary * (L / min(|S|, n - |S|)) with L a fixed
     common multiple, so no division leaves the integers.
+
+    The scan meets in the middle.  The other n - 1 vertices are split
+    into a low half (bits 0..l-1, l = ceil((n - 1) / 2)) and a high
+    half, so S = A + B with A low and B high, and for disjoint sets
+    |d(A + B)| = |d(A)| + |d(B)| - 2 e(A, B).  The two boundary terms
+    come from one table per half.  For a block of high rows B, the
+    cross term e(A, B) = sum over u in A of |N(u) & B| is a subset-sum
+    table over the low bits, built by doubling.  So each mask costs a
+    fixed number of int64 numpy operations whatever the edge count,
+    and a block holds at most 2^20 masks.  Rows are laid out high bits
+    first, so a row-major ``argmin`` finds the smallest mask of a
+    block's minimum; keeping the first block's minimum on ties reports
+    the lexicographically smallest bitmask among all minimizers.
     """
     n = graph.n
     if n < 2:
@@ -157,22 +193,39 @@ def expansion_bruteforce(graph: Graph) -> tuple[Fraction, CutReport]:
         raise ValueError(
             "expansion search limited to %d vertices" % MAX_EXPANSION_VERTICES
         )
-    edges = graph.sorted_edges()
+    low_bits = n // 2  # ceil((n - 1) / 2)
+    high_bits = n - 1 - low_bits
+    adjacency = graph.adjacency()
+    # the last vertex is in neither half, as it is never in S
+    low_table = _boundary_table(adjacency, 0, low_bits)
+    high_table = _boundary_table(adjacency, low_bits, n - 1)
+    cross = np.array(
+        [_bitmask(adjacency[u], low_bits, n - 1) for u in range(low_bits)], dtype=np.int64
+    )
+    # factor[k] = scale // min(k, n - k) for |S| = k, and row p of
+    # factor_rows holds it for every A when |B| = p
     scale = math.lcm(*range(1, n // 2 + 1))
+    factor = np.array([0] + [scale // min(k, n - k) for k in range(1, n)], dtype=np.int64)
+    high_masks = np.arange(1 << high_bits, dtype=np.int64)
+    low_count = np.bitwise_count(np.arange(1 << low_bits, dtype=np.int64))
+    high_count = np.bitwise_count(high_masks)
+    factor_rows = factor[np.arange(high_bits + 1)[:, None] + low_count[None, :]]
+    width = 1 << low_bits
+    rows = max(1, (1 << 20) >> low_bits)
     best: Optional[tuple[int, int]] = None
-    total = 1 << (n - 1)
-    chunk = 1 << 20
-    for start in range(1, total, chunk):
-        stop = min(start + chunk, total)
-        masks = np.arange(start, stop, dtype=np.int64)
-        boundary = np.zeros(stop - start, dtype=np.int64)
-        for u, v in edges:
-            boundary += ((masks >> u) ^ (masks >> v)) & 1
-        ones = _popcount(masks)
-        small = np.minimum(ones, n - ones)
-        value = boundary * (scale // small)
+    for top in range(0, 1 << high_bits, rows):
+        block = slice(top, top + rows)
+        twice = 2 * np.bitwise_count(high_masks[block, None] & cross).astype(np.int64)
+        value = np.empty((len(twice), width), dtype=np.int64)
+        value[:, 0] = high_table[block]
+        for u in range(low_bits):  # subtract 2 e(A, B) by doubling over A
+            np.subtract(value[:, : 1 << u], twice[:, u, None], out=value[:, 1 << u : 2 << u])
+        value += low_table
+        value *= factor_rows[high_count[block]]
+        if top == 0:
+            value[0, 0] = np.iinfo(np.int64).max  # S empty is not a cut
         pos = int(value.argmin())
-        candidate = (int(value[pos]), start + pos)
+        candidate = (int(value.flat[pos]), top * width + pos)
         if best is None or candidate < best:
             best = candidate
     mask = best[1]

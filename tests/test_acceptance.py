@@ -149,7 +149,7 @@ def test_criterion_5_bitfix():
         assert value == 1
 
 
-@_criterion(6, "punctured-cube routing certified; Z(C_d) is the punctured cube")
+@_criterion(6, "punctured-cube routing certified; Z(C_d) is the punctured cube; h(punctured Q5) = 14/15")
 def test_criterion_6_punctured():
     for d in (4, 5, 6):
         routing = punctured_routing(d)
@@ -157,6 +157,13 @@ def test_criterion_6_punctured():
         report = congestion(routing)
         assert report.max_arc_flow <= 3 * 2 ** (d - 2)
         assert report.congestion <= Fraction(6, 7)
+    # exact check of the 30-vertex punctured Q5 against its certificate
+    routing = punctured_routing(5)
+    bound = expansion_lower_bound(congestion(routing))
+    assert bound == Fraction(15, 23)
+    value, witness = expansion_bruteforce(routing.graph)
+    assert value == Fraction(14, 15) and witness.subset_size == 15
+    assert value >= bound
     for d in (3, 4, 5):
         gens = graphical_generators(cycle_graph(d))
         halved = canonicalize([tuple(H * x for x in g) for g in gens.generators])

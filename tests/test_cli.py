@@ -2,11 +2,12 @@
 
 import io
 import json
+import re
 
 import pytest
 
 from halfint.cli import main
-from halfint.graphs import cycle_graph, hypercube, make_graph
+from halfint.graphs import MAX_EXPANSION_VERTICES, cycle_graph, hypercube, make_graph
 
 HEX_GENS = {
     "dim": 3,
@@ -263,10 +264,19 @@ def test_graph_expansion_q4(capsys, tmp_path):
 
 
 def test_graph_expansion_guard(capsys, tmp_path):
-    big = make_graph([str(i) for i in range(27)], [])
+    big = make_graph([str(i) for i in range(MAX_EXPANSION_VERTICES + 1)], [])
     path = write_json(tmp_path, "big.json", big.to_json())
     code, _, err = run(capsys, "graph", "--action", "expansion", "--in", path)
     assert code == 2
+
+
+def test_graph_expansion_c27(capsys, tmp_path):
+    path = write_json(tmp_path, "c27.json", cycle_graph(27).to_json())
+    code, out, _ = run(capsys, "graph", "--action", "expansion", "--in", path)
+    assert code == 0
+    data = json.loads(out)
+    assert data["expansion"] == "2/13"
+    assert data["witness"]["subset"] == list(range(13))
 
 
 @pytest.mark.parametrize("edge", [[1, 2.9], [True, 2]])
@@ -306,6 +316,33 @@ def test_graph_product_dot(capsys, tmp_path):
     assert out.count(" -- ") == 4
     # missing second input
     assert run(capsys, "graph", "--action", "product", "--in", a)[0] == 2
+
+
+_DOT_ID = r'"((?:[^"\\]|\\.)*)"'
+
+
+@pytest.mark.parametrize("label", ['a"b', "b\\"], ids=["quote", "trailing-backslash"])
+def test_graph_product_dot_quotes_labels(capsys, tmp_path, label):
+    a = write_json(tmp_path, "a.json", make_graph([label, "c"], [(0, 1)]).to_json())
+    b = write_json(tmp_path, "b.json", make_graph(["x"], []).to_json())
+    code, out, _ = run(
+        capsys, "graph", "--action", "product", "--in", a, "--in2", b,
+        "--format", "dot",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "graph G {" and lines[-1] == "}"
+    node = re.compile(r"  %s;\Z" % _DOT_ID)
+    edge = re.compile(r"  %s -- %s;\Z" % (_DOT_ID, _DOT_ID))
+    nodes = [node.match(line) for line in lines[1:3]]
+    edges = [edge.match(line) for line in lines[3:-1]]
+    assert all(nodes) and len(edges) == 1 and all(edges)
+
+    def unquote(text):
+        return re.sub(r"\\(.)", r"\1", text)
+
+    assert [unquote(m.group(1)) for m in nodes] == [label + "|x", "c|x"]
+    assert [unquote(g) for g in edges[0].groups()] == [label + "|x", "c|x"]
 
 
 def test_output_deterministic(capsys):

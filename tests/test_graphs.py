@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from halfint.graphs import (
@@ -33,6 +35,76 @@ def _expansion_oracle(graph):
             if best is None or ratio < best:
                 best = ratio
     return best
+
+
+def _per_edge_scan(graph):
+    """Reference: the earlier per-edge chunked scan of every mask avoiding
+    the last vertex.  Returns (value, smaller side, boundary size) of the
+    lexicographically smallest minimizing mask."""
+    n = graph.n
+    edges = graph.sorted_edges()
+    scale = math.lcm(*range(1, n // 2 + 1))
+    best = None
+    total = 1 << (n - 1)
+    chunk = 1 << 20
+    for start in range(1, total, chunk):
+        stop = min(start + chunk, total)
+        masks = np.arange(start, stop, dtype=np.int64)
+        boundary = np.zeros(stop - start, dtype=np.int64)
+        for u, v in edges:
+            boundary += ((masks >> u) ^ (masks >> v)) & 1
+        ones = np.bitwise_count(masks).astype(np.int64)
+        value = boundary * (scale // np.minimum(ones, n - ones))
+        pos = int(value.argmin())
+        candidate = (int(value[pos]), start + pos)
+        if best is None or candidate < best:
+            best = candidate
+    mask = best[1]
+    side = {v for v in range(n) if (mask >> v) & 1}
+    boundary = sum(1 for u, v in graph.edges if (u in side) != (v in side))
+    if 2 * len(side) > n:
+        side = set(range(n)) - side
+    return Fraction(boundary, len(side)), tuple(sorted(side)), boundary
+
+
+def _reference_case(rng, n, kind):
+    pairs = list(combinations(range(n), 2))
+    if kind == "empty":
+        edges = []
+    elif kind == "complete":
+        edges = pairs
+    elif kind == "disconnected":
+        cut = rng.randint(1, n - 1)
+        edges = [(u, v) for u, v in pairs if (u < cut) == (v < cut) and rng.random() < 0.7]
+    elif kind == "last-vertex star":
+        edges = [(u, n - 1) for u in range(n - 1) if rng.random() < 0.8]
+        edges += [e for e in pairs if rng.random() < 0.1]
+    elif kind == "cycle":  # many tied minima
+        edges = [(i, i + 1) for i in range(n - 1)] + ([(0, n - 1)] if n > 2 else [])
+    else:
+        p = rng.random()
+        edges = [e for e in pairs if rng.random() < p]
+    return make_graph([str(i) for i in range(n)], edges)
+
+
+_REFERENCE_KINDS = ["random"] * 5 + ["empty", "complete", "disconnected", "last-vertex star", "cycle"]
+
+
+def test_expansion_matches_per_edge_reference():
+    rng = random.Random(20240601)
+    cases = []
+    for trial in range(2000):
+        n = 2 + trial % 15  # n = 2..16, odd and even, so both split shapes
+        kind = _REFERENCE_KINDS[(trial // 15) % len(_REFERENCE_KINDS)]
+        cases.append((n, kind))
+    cases += [(18, "random"), (19, "last-vertex star"), (19, "cycle"), (20, "random")]
+    for n, kind in cases:
+        g = _reference_case(rng, n, kind)
+        value, rep = expansion_bruteforce(g)
+        expected = _per_edge_scan(g)
+        assert (value, rep.subset, rep.boundary_size) == expected, (kind, sorted(g.edges))
+        if kind == "empty":
+            assert expected == (0, (0,), 0)
 
 
 def test_make_graph_validation():
