@@ -18,9 +18,13 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Optional
+from functools import partial
+from json.encoder import encode_basestring_ascii as _string
+from math import prod
+from typing import Callable, Optional
 
 from .flows import (
+    MAX_ROUTING_DIMENSION,
     Routing,
     bitfix_routing,
     congestion,
@@ -94,6 +98,39 @@ def _render_text(payload: dict, approx: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _dumps(value, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, with
+    one join per container (the stdlib encodes indented JSON in pure
+    Python, one chunk at a time)."""
+    if isinstance(value, str):
+        return _string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = ("," + inner).join([
+            _string(k) + ": " + (_string(v) if type(v) is str else _dumps(v, inner))
+            for k, v in sorted(value.items())
+        ])
+        return "{" + inner + body + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        body = ("," + inner).join([
+            _string(v) if type(v) is str else _dumps(v, inner) for v in value
+        ])
+        return "[" + inner + body + indent + "]"
+    raise TypeError("cannot render %s as JSON" % type(value).__name__)
+
+
 def _emit(args, payload: dict, graph: Optional[Graph] = None) -> None:
     if args.format == "dot":
         if graph is None:
@@ -106,12 +143,15 @@ def _emit(args, payload: dict, graph: Optional[Graph] = None) -> None:
             approx = _approx_map(payload)
             if approx:
                 payload = dict(payload, approx=approx)
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = _dumps(payload) + "\n"
     if args.out is None or args.out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError("cannot write output: %s" % exc)
 
 
 def _load_json(path: Optional[str]):
@@ -187,16 +227,25 @@ def _integer(text: str) -> int:
     return int(text)
 
 
-def _parse_factor(token: str) -> Routing:
+def _parse_factor(token: str) -> tuple[Callable[[], Routing], int]:
+    """A factor's routing builder and vertex count, read without building it.
+
+    A dimension above ``MAX_ROUTING_DIMENSION`` counts as
+    ``2 ** (MAX_ROUTING_DIMENSION + 1)`` vertices, more than any product
+    may have; a dimension below the family's range is left to its builder.
+    """
     if token == "hexagon":
-        return hexagon_routing()
+        return hexagon_routing, 6
     match = _FACTOR.match(token)
     if match is None:
         raise UsageError(
             "bad factor %r (expected cube:<d>, punctured:<d>, or hexagon)" % token
         )
     family, d = match.group(1), int(match.group(2))
-    return bitfix_routing(d) if family == "cube" else punctured_routing(d)
+    size = 2 ** min(d, MAX_ROUTING_DIMENSION + 1)
+    if family == "cube":
+        return partial(bitfix_routing, d), size
+    return partial(punctured_routing, d), size - 2
 
 
 def _cmd_flow(args) -> int:
@@ -210,8 +259,14 @@ def _cmd_flow(args) -> int:
         factors = [_parse_factor(tok) for tok in args.factors.split(",")]
         if len(factors) < 2:
             raise UsageError("the product family needs at least two factors")
-        routing = factors[0]
-        for other in factors[1:]:
+        if prod(size for _, size in factors) > 2**MAX_ROUTING_DIMENSION:
+            raise UsageError(
+                "product routings are limited to %d vertices, the size of cube:%d"
+                % (2**MAX_ROUTING_DIMENSION, MAX_ROUTING_DIMENSION)
+            )
+        # every factor is built, and its dimension checked, before any product
+        routing, *others = [make() for make, _ in factors]
+        for other in others:
             routing = product_routing(routing, other)
     else:
         if args.d is None:

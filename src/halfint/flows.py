@@ -8,6 +8,10 @@ rho certifies edge expansion at least 1/(2 rho): each boundary edge of
 a cut {S, V-S} carries at most 2 rho n flow across, while the demand
 separated by the cut is at least |S| (n - |S|) >= |S| n / 2.
 
+Validation and arc flows are tallied in integers over one common
+denominator, the least common multiple of the weight denominators; only
+the reported per-arc flows are turned back into fractions.
+
 The concrete routings here are the hypercube bit-fixing scheme, its
 rerouted variant on the hypercube minus two antipodal vertices, the
 weighted shortest-path scheme on the hexagon, and the product
@@ -17,8 +21,11 @@ keeping the source's first coordinate and the target's second.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 from typing import Optional
 
 from .graphs import Graph, cartesian_product, cycle_graph, hypercube, induced_subgraph
@@ -51,6 +58,11 @@ class Routing:
         return {"graph": self.graph.to_json(), "demands": demands}
 
 
+def _common_denominator(routing: Routing) -> int:
+    """Least common multiple of the path weights' denominators."""
+    return lcm(*{w.denominator for entries in routing.paths.values() for _, w in entries})
+
+
 def validate(routing: Routing) -> Optional[str]:
     """First violation of the routing contract, or None when valid."""
     g = routing.graph
@@ -63,41 +75,53 @@ def validate(routing: Routing) -> Optional[str]:
     extra = sorted(given - expected)
     if extra:
         return "unexpected demand (%d, %d)" % extra[0]
+    scale = _common_denominator(routing)
+    arcs = set(g.edges)
+    arcs.update([(b, a) for a, b in g.edges])
     for (s, t) in sorted(routing.paths):
         entries = routing.paths[(s, t)]
         if not entries:
             return "demand (%d, %d) has no paths" % (s, t)
-        total = Fraction(0)
+        total = 0
         for idx, (path, weight) in enumerate(entries):
-            if weight <= 0:
+            scaled = weight.numerator * (scale // weight.denominator)
+            if scaled <= 0:
                 return "demand (%d, %d) path %d has non-positive weight" % (s, t, idx)
-            total += weight
+            total += scaled
             if len(path) < 2 or path[0] != s or path[-1] != t:
                 return "demand (%d, %d) path %d has wrong endpoints" % (s, t, idx)
             if len(set(path)) != len(path):
                 return "demand (%d, %d) path %d repeats a vertex" % (s, t, idx)
-            for a, b in zip(path, path[1:]):
-                if not g.has_edge(a, b):
-                    return "demand (%d, %d) path %d uses a non-edge (%d, %d)" % (
-                        s,
-                        t,
-                        idx,
-                        a,
-                        b,
-                    )
-        if total != 1:
-            return "demand (%d, %d) weights sum to %s, not 1" % (s, t, total)
+            if not arcs.issuperset(zip(path, path[1:])):
+                a, b = next(arc for arc in zip(path, path[1:]) if arc not in arcs)
+                return "demand (%d, %d) path %d uses a non-edge (%d, %d)" % (
+                    s, t, idx, a, b
+                )
+        if total != scale:
+            return "demand (%d, %d) weights sum to %s, not 1" % (
+                s, t, Fraction(total, scale)
+            )
     return None
 
 
 def arc_flows(routing: Routing) -> dict[tuple[int, int], Fraction]:
-    """Total flow on each directed arc (unvalidated accumulation)."""
-    flows: dict[tuple[int, int], Fraction] = {}
+    """Total flow on each directed arc (unvalidated accumulation).
+
+    Paths are grouped by weight in units of 1/scale, and each group's
+    arc steps are counted at once.
+    """
+    scale = _common_denominator(routing)
+    groups: dict[int, list[Path]] = {}
     for entries in routing.paths.values():
         for path, weight in entries:
-            for a, b in zip(path, path[1:]):
-                flows[(a, b)] = flows.get((a, b), Fraction(0)) + weight
-    return flows
+            scaled = weight.numerator * (scale // weight.denominator)
+            groups.setdefault(scaled, []).append(path)
+    tally: dict[tuple[int, int], int] = {}
+    for scaled, paths in groups.items():
+        counts = Counter(chain.from_iterable(zip(p, p[1:]) for p in paths))
+        for arc, count in counts.items():
+            tally[arc] = tally.get(arc, 0) + count * scaled
+    return {arc: Fraction(total, scale) for arc, total in tally.items()}
 
 
 @dataclass(frozen=True)
@@ -129,17 +153,11 @@ def congestion(routing: Routing) -> CongestionReport:
     flows = arc_flows(routing)
     if not flows:
         return CongestionReport(g.n, Fraction(0), Fraction(0), None)
-    best_arc = None
-    best_flow = None
-    for (a, b), flow in flows.items():
-        key = (g.labels[a], g.labels[b])
-        if (
-            best_flow is None
-            or flow > best_flow
-            or (flow == best_flow and key < best_arc)
-        ):
-            best_flow = flow
-            best_arc = key
+    best_flow = max(flows.values())
+    labels = g.labels
+    best_arc = min(
+        (labels[a], labels[b]) for (a, b), flow in flows.items() if flow == best_flow
+    )
     return CongestionReport(
         vertex_count=g.n,
         max_arc_flow=best_flow,

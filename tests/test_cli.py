@@ -232,6 +232,31 @@ def test_flow_guards(capsys):
     assert run(capsys, "flow", "--family", "product")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "factors",
+    ["cube:10,cube:10", "cube:10,cube:1", "cube:11,hexagon", "hexagon,hexagon,hexagon,hexagon"],
+)
+def test_flow_product_size_guard(capsys, monkeypatch, factors):
+    def unreachable(*args):
+        raise AssertionError("a routing was built")
+
+    for name in ("bitfix_routing", "punctured_routing", "hexagon_routing", "product_routing"):
+        monkeypatch.setattr("halfint.cli." + name, unreachable)
+    code, out, err = run(capsys, "flow", "--family", "product", "--factors", factors)
+    assert code == 2 and out == ""
+    assert err == "error: product routings are limited to 1024 vertices, the size of cube:10\n"
+
+
+@pytest.mark.parametrize("factors", ["cube:5,cube:5", "punctured:3,cube:7"])
+def test_flow_product_size_guard_admits_up_to_cube_10(capsys, monkeypatch, factors):
+    def stop(rg, rh):
+        raise ValueError("product of %d and %d vertices" % (rg.graph.n, rh.graph.n))
+
+    monkeypatch.setattr("halfint.cli.product_routing", stop)
+    code, _, err = run(capsys, "flow", "--family", "product", "--factors", factors)
+    assert code == 2 and "error: product of" in err
+
+
 def test_flow_rejects_non_ascii_factor_dimension(capsys):
     code, out, err = run(
         capsys, "flow", "--family", "product", "--factors", "cube:\u0661,hexagon"
@@ -359,6 +384,15 @@ def test_out_file(capsys, tmp_path):
     )
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["congestion"] == "3/4"
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_out_unwritable(capsys, tmp_path, target):
+    path = tmp_path if target == "directory" else tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "flow", "--family", "cube", "--d", "2", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write output: ") and str(path) in err
+    assert "Traceback" not in err
 
 
 def test_approx_json(capsys):

@@ -1,0 +1,58 @@
+"""The CLI's JSON writer matches ``json.dumps(..., sort_keys=True, indent=2)``
+byte for byte, on arbitrary values and on full ``flow --routing`` reports."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from halfint.cli import _dumps, main
+
+# Quotes, backslashes, control characters and non-ASCII text all take
+# escapes in ASCII-only JSON.
+texts = st.text(
+    alphabet=st.sampled_from('"\\/\x00\x1f\x7f\n\té \U0001f600') | st.characters(),
+    max_size=6,
+)
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | texts,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(texts, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(value=texts | json_values)
+def test_dumps_matches_stdlib_indent_2(value):
+    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_dumps_rejects_values_it_does_not_render():
+    # json.dumps also rejects sets and objects; it would turn the integer
+    # key into "1", but every report's keys are strings already.
+    for value in ({"a": {1, 2}}, [object()], {1: "int key"}, 1.5):
+        with pytest.raises(TypeError):
+            _dumps(value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--family", "cube", "--d", "3"),
+        ("--family", "punctured", "--d", "4"),
+        ("--family", "hexagon"),
+        ("--family", "product", "--factors", "cube:1,hexagon"),
+        ("--family", "hexagon", "--approx"),
+    ],
+)
+def test_flow_routing_report_bytes(capsys, argv):
+    assert main(["flow", *argv, "--routing"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -1,12 +1,14 @@
 """Routing validity, exact congestion goldens, and soundness of the
 congestion-based expansion lower bound."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from halfint.flows import (
     MAX_ROUTING_DIMENSION,
+    CongestionReport,
     Routing,
     arc_flows,
     bitfix_routing,
@@ -241,3 +243,212 @@ def test_routing_json_shape():
     assert set(first) == {"source", "target", "paths"}
     total = sum(Fraction(p["weight"]) for p in first["paths"])
     assert total == 1
+
+
+# ------------------------------------------------- Fraction reference
+
+def _reference_validate(routing):
+    """Per-step Fraction validation, kept as the reference for ``validate``."""
+    g = routing.graph
+    n = g.n
+    expected = {(s, t) for s in range(n) for t in range(n) if s != t}
+    given = set(routing.paths.keys())
+    missing = sorted(expected - given)
+    if missing:
+        return "missing demand (%d, %d)" % missing[0]
+    extra = sorted(given - expected)
+    if extra:
+        return "unexpected demand (%d, %d)" % extra[0]
+    for (s, t) in sorted(routing.paths):
+        entries = routing.paths[(s, t)]
+        if not entries:
+            return "demand (%d, %d) has no paths" % (s, t)
+        total = Fraction(0)
+        for idx, (path, weight) in enumerate(entries):
+            if weight <= 0:
+                return "demand (%d, %d) path %d has non-positive weight" % (s, t, idx)
+            total += weight
+            if len(path) < 2 or path[0] != s or path[-1] != t:
+                return "demand (%d, %d) path %d has wrong endpoints" % (s, t, idx)
+            if len(set(path)) != len(path):
+                return "demand (%d, %d) path %d repeats a vertex" % (s, t, idx)
+            for a, b in zip(path, path[1:]):
+                if not g.has_edge(a, b):
+                    return "demand (%d, %d) path %d uses a non-edge (%d, %d)" % (
+                        s, t, idx, a, b
+                    )
+        if total != 1:
+            return "demand (%d, %d) weights sum to %s, not 1" % (s, t, total)
+    return None
+
+
+def _reference_arc_flows(routing):
+    flows = {}
+    for entries in routing.paths.values():
+        for path, weight in entries:
+            for a, b in zip(path, path[1:]):
+                flows[(a, b)] = flows.get((a, b), Fraction(0)) + weight
+    return flows
+
+
+def _reference_congestion(routing):
+    problem = _reference_validate(routing)
+    if problem is not None:
+        raise ValueError("invalid routing: " + problem)
+    g = routing.graph
+    flows = _reference_arc_flows(routing)
+    if not flows:
+        return CongestionReport(g.n, Fraction(0), Fraction(0), None)
+    best_arc = None
+    best_flow = None
+    for (a, b), flow in flows.items():
+        key = (g.labels[a], g.labels[b])
+        if best_flow is None or flow > best_flow or (flow == best_flow and key < best_arc):
+            best_flow = flow
+            best_arc = key
+    return CongestionReport(g.n, best_flow, best_flow / g.n, best_arc)
+
+
+def _outcome(congestion_fn, routing):
+    try:
+        return congestion_fn(routing)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_matches_reference(routing):
+    assert validate(routing) == _reference_validate(routing)
+    assert arc_flows(routing) == _reference_arc_flows(routing)
+    assert _outcome(congestion, routing) == _outcome(_reference_congestion, routing)
+
+
+def _criterion_8_products():
+    """Criterion 8's 15 routings: products, in name order, of q1, q2, q3, c6
+    and p4 with at most 24 vertices (single factors among them)."""
+    base = {"c6": hexagon_routing(), "p4": punctured_routing(4), "q1": bitfix_routing(1),
+            "q2": bitfix_routing(2), "q3": bitfix_routing(3)}
+    names = sorted(base)
+    products = []
+
+    def extend(start, routing):
+        products.append(routing)
+        for name in names[start:]:
+            factor = base[name]
+            if routing.graph.n * factor.graph.n <= 24:
+                extend(names.index(name), product_routing(routing, factor))
+
+    for idx, name in enumerate(names):
+        extend(idx, base[name])
+    return products
+
+
+def test_flows_match_fraction_reference_on_the_constructions():
+    corpus = ([bitfix_routing(d) for d in range(1, 7)]
+              + [punctured_routing(d) for d in range(3, 7)]
+              + [hexagon_routing()])
+    products = _criterion_8_products()
+    assert len(products) == 15
+    for routing in corpus + products:
+        assert validate(routing) is None
+        _assert_matches_reference(routing)
+
+
+_MESSAGES = {
+    "missing demand": "missing demand",
+    "unexpected demand": "unexpected demand",
+    "no paths": "has no paths",
+    "non-positive weight": "non-positive weight",
+    "wrong endpoints": "wrong endpoints",
+    "repeats a vertex": "repeats a vertex",
+    "non-edge": "uses a non-edge",
+    "weight sum": "weights sum to",
+}
+
+
+def _mutate(routing, rng):
+    """One seeded edit of a valid routing: a valid reweighting, or an edit
+    aimed at one of the eight violations."""
+    paths = {key: list(entries) for key, entries in routing.paths.items()}
+    n = routing.graph.n
+    key = rng.choice(sorted(k for k, entries in paths.items() if entries))
+    s, t = key
+    idx = rng.randrange(len(paths[key]))
+    path, weight = paths[key][idx]
+    kind = rng.choice(["split", "split"] + sorted(_MESSAGES))
+    if kind == "split":
+        # 1/3 + 2/3 or 1/2 + 1/4 + 1/4 of the weight, over copies of the path
+        parts = rng.choice([(Fraction(1, 3), Fraction(2, 3)),
+                            (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))])
+        paths[key][idx:idx + 1] = [(path, weight * part) for part in parts]
+    elif kind == "missing demand":
+        del paths[key]
+    elif kind == "unexpected demand":
+        paths[rng.choice([(s, s), (s, n), (n, t)])] = [((s, t), Fraction(1))]
+    elif kind == "no paths":
+        paths[key] = []
+    elif kind == "non-positive weight":
+        bad = rng.choice([Fraction(0), Fraction(-1, 2), -weight])
+        paths[key][idx] = (path, bad)
+        paths[key].append((path, weight - bad))
+    elif kind == "wrong endpoints":
+        paths[key][idx] = (rng.choice([path[1:], path[:-1], (s,)]), weight)
+    elif kind == "repeats a vertex":
+        paths[key][idx] = (path[:2] + path, weight)  # s, v, s, v, ..., t
+    elif kind == "non-edge":
+        g = routing.graph
+        far = [v for v in range(n) if v != s and v != t and not g.has_edge(s, v)]
+        paths[key][idx] = (((s, far[0]) + path[1:]) if far else (s, n + 1, t), weight)
+    else:
+        extra = rng.choice([Fraction(1, 3), Fraction(-1, 4), Fraction(1, 2)])
+        paths[key].append((path, extra))
+    return Routing(routing.graph, paths)
+
+
+def test_flows_match_fraction_reference_on_mutations():
+    bases = [bitfix_routing(1), bitfix_routing(2), bitfix_routing(3),
+             punctured_routing(3), punctured_routing(4), hexagon_routing(),
+             product_routing(bitfix_routing(1), hexagon_routing())]
+    rng = random.Random(20240607)
+    seen = set()
+    for round_ in range(600):
+        routing = bases[round_ % len(bases)]
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            routing = _mutate(routing, rng)
+        _assert_matches_reference(routing)
+        problem = validate(routing)
+        seen.update(name for name, text in _MESSAGES.items() if text in (problem or ""))
+        seen.add("valid" if problem is None else "invalid")
+    assert seen == set(_MESSAGES) | {"valid", "invalid"}
+
+
+def test_mixed_denominators():
+    g = make_graph(["a", "b", "c"], [(0, 1), (1, 2), (0, 2)])
+    one = Fraction(1)
+    paths = {(s, t): [((s, t), one)] for s in range(3) for t in range(3) if s != t}
+    paths[(0, 1)] = [((0, 1), Fraction(1, 3)), ((0, 2, 1), Fraction(2, 3))]
+    paths[(1, 2)] = [((1, 2), Fraction(1, 2)), ((1, 0, 2), Fraction(1, 4)),
+                     ((1, 2), Fraction(1, 4))]
+    routing = Routing(g, paths)
+    assert validate(routing) is None
+    assert arc_flows(routing)[(0, 2)] == 1 + Fraction(2, 3) + Fraction(1, 4)
+    _assert_matches_reference(routing)
+    paths[(2, 0)] = [((2, 0), Fraction(1, 3)), ((2, 0), Fraction(1, 2))]
+    assert validate(routing) == "demand (2, 0) weights sum to 5/6, not 1"
+    _assert_matches_reference(routing)
+
+
+def test_argmax_tie_follows_labels_not_indices():
+    # every arc carries 1; index order puts (0, 1) first, label order ("a", "z")
+    g = make_graph(["z", "a", "m"], [(0, 1), (1, 2)])
+    paths = {
+        (0, 1): [((0, 1), Fraction(1))],
+        (1, 0): [((1, 0), Fraction(1))],
+        (1, 2): [((1, 2), Fraction(1))],
+        (2, 1): [((2, 1), Fraction(1))],
+        (0, 2): [((0, 1, 2), Fraction(1))],
+        (2, 0): [((2, 1, 0), Fraction(1))],
+    }
+    routing = Routing(g, paths)
+    rep = congestion(routing)
+    assert rep.argmax_arc == ("a", "m") and rep.max_arc_flow == 2
+    _assert_matches_reference(routing)
