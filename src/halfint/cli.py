@@ -18,15 +18,15 @@ import json
 import re
 import sys
 from fractions import Fraction
-from functools import partial
 from json.encoder import encode_basestring_ascii as _string
 from math import prod
-from typing import Callable, Optional
+from typing import Optional
 
 from .flows import (
     MAX_ROUTING_DIMENSION,
     Routing,
     bitfix_routing,
+    check_dimension,
     congestion,
     expansion_lower_bound,
     hexagon_routing,
@@ -227,52 +227,63 @@ def _integer(text: str) -> int:
     return int(text)
 
 
-def _parse_factor(token: str) -> tuple[Callable[[], Routing], int]:
-    """A factor's routing builder and vertex count, read without building it.
-
-    A dimension above ``MAX_ROUTING_DIMENSION`` counts as
-    ``2 ** (MAX_ROUTING_DIMENSION + 1)`` vertices, more than any product
-    may have; a dimension below the family's range is left to its builder.
-    """
+def _parse_factor(token: str) -> tuple[str, int]:
+    """A factor's family ("cube", "punctured" or "hexagon") and dimension."""
     if token == "hexagon":
-        return hexagon_routing, 6
+        return token, 0
     match = _FACTOR.match(token)
     if match is None:
         raise UsageError(
             "bad factor %r (expected cube:<d>, punctured:<d>, or hexagon)" % token
         )
-    family, d = match.group(1), int(match.group(2))
-    size = 2 ** min(d, MAX_ROUTING_DIMENSION + 1)
-    if family == "cube":
-        return partial(bitfix_routing, d), size
-    return partial(punctured_routing, d), size - 2
+    return match.group(1), int(match.group(2))
+
+
+def _vertex_count(family: str, d: int) -> int:
+    """A factor's vertex count, read without building it; a dimension
+    above ``MAX_ROUTING_DIMENSION`` counts as more than any product may have."""
+    if family == "hexagon":
+        return 6
+    return 2 ** min(d, MAX_ROUTING_DIMENSION + 1) - (2 if family == "punctured" else 0)
+
+
+def _routing(family: str, d: int) -> Routing:
+    if family == "hexagon":
+        return hexagon_routing()
+    return bitfix_routing(d) if family == "cube" else punctured_routing(d)
 
 
 def _cmd_flow(args) -> int:
-    if args.family == "hexagon":
+    if args.factors is not None and args.family != "product":
+        raise UsageError("--factors applies to the product family only")
+    if args.family == "product":
         if args.d is not None:
-            raise UsageError("the hexagon family takes no dimension")
-        routing = hexagon_routing()
-    elif args.family == "product":
+            raise UsageError("the product family takes its dimensions from --factors")
         if not args.factors:
             raise UsageError("the product family requires --factors")
         factors = [_parse_factor(tok) for tok in args.factors.split(",")]
         if len(factors) < 2:
             raise UsageError("the product family needs at least two factors")
-        if prod(size for _, size in factors) > 2**MAX_ROUTING_DIMENSION:
+        if prod(_vertex_count(*f) for f in factors) > 2**MAX_ROUTING_DIMENSION:
             raise UsageError(
                 "product routings are limited to %d vertices, the size of cube:%d"
                 % (2**MAX_ROUTING_DIMENSION, MAX_ROUTING_DIMENSION)
             )
-        # every factor is built, and its dimension checked, before any product
-        routing, *others = [make() for make, _ in factors]
-        for other in others:
-            routing = product_routing(routing, other)
+        # every factor's dimension is checked before any routing is built
+        for family, d in factors:
+            if family != "hexagon":
+                check_dimension(family, d)
+    elif args.family == "hexagon":
+        if args.d is not None:
+            raise UsageError("the hexagon family takes no dimension")
+        factors = [("hexagon", 0)]
     else:
         if args.d is None:
             raise UsageError("--d is required for family %r" % args.family)
-        maker = bitfix_routing if args.family == "cube" else punctured_routing
-        routing = maker(args.d)
+        factors = [(args.family, args.d)]
+    routing, *others = [_routing(*factor) for factor in factors]
+    for other in others:
+        routing = product_routing(routing, other)
     report = congestion(routing)
     payload = dict(
         report.to_json(),

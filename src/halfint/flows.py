@@ -191,11 +191,23 @@ def _bitfix_path(s: int, t: int, d: int) -> Path:
 
 MAX_ROUTING_DIMENSION = 10
 
+# Routing and smallest dimension of each family: Q_d, and Q_d minus two vertices.
+_LOWEST_DIMENSION = {"cube": ("bitfix", 1), "punctured": ("punctured", 3)}
+
+
+def check_dimension(family: str, d: int) -> None:
+    """ValueError unless ``family`` ("cube" or "punctured") is routed in dimension d."""
+    routing, low = _LOWEST_DIMENSION[family]
+    if not low <= d <= MAX_ROUTING_DIMENSION:
+        raise ValueError(
+            "%s routing supported for %d <= d <= %d"
+            % (routing, low, MAX_ROUTING_DIMENSION)
+        )
+
 
 def bitfix_routing(d: int) -> Routing:
     """All-pairs bit-fixing routing on Q_d; every arc carries 2^(d-1)."""
-    if not 1 <= d <= MAX_ROUTING_DIMENSION:
-        raise ValueError("bitfix routing supported for 1 <= d <= %d" % MAX_ROUTING_DIMENSION)
+    check_dimension("cube", d)
     g = hypercube(d)
     n = 1 << d
     paths = {}
@@ -218,10 +230,7 @@ def punctured_routing(d: int) -> Routing:
     stays at or below 3 * 2^(d-2); d = 3 is allowed but the families
     overlap, so only the generic congestion guarantee applies.
     """
-    if not 3 <= d <= MAX_ROUTING_DIMENSION:
-        raise ValueError(
-            "punctured routing supported for 3 <= d <= %d" % MAX_ROUTING_DIMENSION
-        )
+    check_dimension("punctured", d)
     origin = 0
     allones = (1 << d) - 1
     full = hypercube(d)

@@ -1,55 +1,70 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, in integer arithmetic.
 
 Row reduction, rank and minimal linear dependences (circuits) for small
-dense matrices.  Pivots are exact rationals, so no magnitude-based pivot
-selection is needed and results are reproducible bit for bit.
+dense matrices.  This module holds the package's one elimination
+kernel, the fraction-free (Bareiss 1968) update that ``simplex`` also
+pivots with.  Each integer row holds ``det``, the last pivot, times a
+row of the rational reduction; a pivot ``p`` turns every other row
+``a``, whose entry in the pivot column is ``f``, into
+``(p * a - f * r) // det``, where ``r`` is the pivot row.  The division
+is exact by Sylvester's identity.  Results leave as ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
+
+
+def _scaled(values: Sequence, den: int) -> list[int]:
+    """``den * values`` as integers; ``den`` is a multiple of every denominator."""
+    return [x.numerator * (den // x.denominator) for x in values]
+
+
+def _eliminate(row: list[int], prow: list[int], column: int, det: int) -> list[int]:
+    """Bareiss update of ``row`` by the pivot row ``prow`` in ``column``."""
+    p = prow[column]
+    f = row[column]
+    if f:
+        return [(p * a - f * b) // det for a, b in zip(row, prow)]
+    if p != det:
+        return [p * a // det for a in row]
+    return row
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form of a matrix.
 
     Returns ``(matrix, pivot_columns)``; the input is left untouched.
-    Each pivot is normalized to 1 immediately and eliminated above and
-    below, keeping every entry a fully reduced Fraction.
+    The rows are scaled to integers, each pivot (the first nonzero entry
+    at or below the current row) is eliminated above and below, and the
+    last pivot divides every entry once, at the end.
     """
-    mat = [[Fraction(x) for x in row] for row in rows]
+    fracs = [[Fraction(x) for x in row] for row in rows]
+    den = lcm(*{x.denominator for row in fracs for x in row})
+    mat = [_scaled(row, den) for row in fracs]
     pivots: list[int] = []
-    if not mat:
-        return mat, pivots
-    ncols = len(mat[0])
-    row = 0
-    for col in range(ncols):
+    det = 1
+    for col in range(len(mat[0]) if mat else 0):
+        row = len(pivots)
         if row == len(mat):
             break
         pivot_row = next((i for i in range(row, len(mat)) if mat[i][col] != 0), None)
         if pivot_row is None:
             continue
         mat[row], mat[pivot_row] = mat[pivot_row], mat[row]
-        pivot = mat[row][col]
-        mat[row] = [x / pivot for x in mat[row]]
+        top = mat[row]
         for i in range(len(mat)):
-            if i != row and mat[i][col] != 0:
-                factor = mat[i][col]
-                top = mat[row]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], top)]
+            if i != row:
+                mat[i] = _eliminate(mat[i], top, col, det)
+        det = top[col]
         pivots.append(col)
-        row += 1
-    return mat, pivots
+    return [[Fraction(x, det) for x in row] for row in mat], pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:
     return len(rref(rows)[1])
-
-
-def _columns_matrix(vectors: Sequence[Sequence]) -> list[list]:
-    dim = len(vectors[0])
-    return [[vec[i] for vec in vectors] for i in range(dim)]
 
 
 def minimal_circuit(
@@ -68,7 +83,8 @@ def minimal_circuit(
     n = len(vectors)
     if n == 0:
         return None
-    reduced, pivots = rref(_columns_matrix(vectors))
+    columns = [[vec[i] for vec in vectors] for i in range(len(vectors[0]))]
+    reduced, pivots = rref(columns)
     pivot_row = {c: r for r, c in enumerate(pivots)}
     free = next((c for c in range(n) if c not in pivot_row), None)
     if free is None:

@@ -5,11 +5,12 @@ Every quantity in this package is an exact rational.  Scalars are
 denominator), points and vectors are tuples of them.  The canonical
 serialized form of a scalar is the string ``"p/q"``, or just ``"p"``
 when the denominator is 1, which is exactly what ``str(Fraction)``
-produces.
+produces; points are rendered with ``str`` on each coordinate, since a
+``Fraction`` is already canonical.
 
-No floating point enters any computation.  The hot loops (the simplex
-tableau, the skeleton oracle) scale their rationals to integers by a
-common denominator.
+No floating point enters any computation.  The hot loops (row
+reduction, the simplex tableau, the skeleton oracle) scale their
+rationals to integers by a common denominator.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-Point = "tuple[Fraction, ...]"
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -50,21 +49,17 @@ def int_from_json(value, what: str) -> int:
     return value
 
 
-def rational_to_str(value) -> str:
-    return str(Fraction(value))
-
-
 def point_from_strs(coords: Iterable[str]) -> tuple[Fraction, ...]:
     return tuple(rational_from_str(c) for c in coords)
 
 
 def point_to_strs(point: Sequence) -> list[str]:
-    return [rational_to_str(c) for c in point]
+    return [str(c) for c in point]
 
 
 def point_label(point: Sequence) -> str:
     """Single-string form of a point, e.g. "0,1/2,1"."""
-    return ",".join(rational_to_str(c) for c in point)
+    return ",".join(map(str, point))
 
 
 def midpoint(u: Sequence, v: Sequence) -> tuple:

@@ -6,14 +6,12 @@ unconditional.  Exactness makes every verdict a certificate: a returned
 witness satisfies the constraints with equality, ``None`` means the
 system is infeasible, and an optimal value is exact.
 
-The tableau is fraction-free (Bareiss 1968).  The system is scaled by
-one common denominator, so the starting tableau ``[A | I | b]`` is
-integral with basis determinant 1.  From then on every entry is ``det``
-times the entry of the rational tableau, where ``det > 0`` is the basis
-determinant up to sign.  A pivot on ``p`` replaces every other row
-``a`` by ``(p * a - f * r) // det``, where ``r`` is the pivot row and
-``f`` the row's entry in the entering column; the division is exact by
-Sylvester's identity.  A positive scale changes no sign and no ratio
+The tableau is fraction-free: it pivots with the Bareiss update that
+``linalg`` holds (``_eliminate``).  The system is scaled by one common
+denominator, so the starting tableau ``[A | I | b]`` is integral with
+basis determinant 1, and from then on every entry is ``det`` times the
+entry of the rational tableau, where ``det > 0`` is the basis
+determinant up to sign.  A positive scale changes no sign and no ratio
 that Bland's rule reads, so the pivots are the ones a rational tableau
 takes.  Witnesses and values leave as ``Fraction``.
 """
@@ -24,23 +22,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
+from .linalg import _eliminate, _scaled
+
 _ZERO = Fraction(0)
-
-
-def _scaled(values: Sequence, den: int) -> list[int]:
-    """``den * values`` as integers; ``den`` is a multiple of every denominator."""
-    return [x.numerator * (den // x.denominator) for x in values]
-
-
-def _eliminate(row: list[int], prow: list[int], column: int, det: int) -> list[int]:
-    """Bareiss update of ``row`` by the pivot row ``prow`` in ``column``."""
-    p = prow[column]
-    f = row[column]
-    if f:
-        return [(p * a - f * b) // det for a, b in zip(row, prow)]
-    if p != det:
-        return [p * a // det for a in row]
-    return row
 
 
 class _Tableau:

@@ -23,7 +23,7 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .graphs import Graph, make_graph
-from .rationals import point_from_strs, point_label
+from .rationals import point_label, point_to_strs
 from .simplex import convex_combination, hull_system, lp_maximize, prune_candidates
 
 Point = tuple[Fraction, ...]
@@ -54,13 +54,8 @@ class PointSet:
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
-            "points": [[str(c) for c in p] for p in self.points],
+            "points": [point_to_strs(p) for p in self.points],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PointSet":
-        points = tuple(point_from_strs(p) for p in data["points"])
-        return cls(dim=data["dim"], points=points)
 
     @classmethod
     def from_iterable(cls, dim: int, points: Iterable[Sequence]) -> "PointSet":

@@ -50,8 +50,6 @@ def _require_valid(d: int) -> None:
 class SparseCutInstance:
     d: int
     vertices: PointSet
-    slab_low: Fraction
-    slab_high: Fraction
 
 
 def iter_vertices(d: int) -> Iterator[tuple[Fraction, ...]]:
@@ -88,13 +86,7 @@ def build(d: int) -> SparseCutInstance:
             "full enumeration guarded at d <= %d; closed forms cover larger d"
             % MAX_BUILD_DIMENSION
         )
-    points = tuple(iter_vertices(d))
-    return SparseCutInstance(
-        d=d,
-        vertices=PointSet(d, points),
-        slab_low=Fraction(d - 1, 2),
-        slab_high=Fraction(d + 1, 2),
-    )
+    return SparseCutInstance(d=d, vertices=PointSet(d, tuple(iter_vertices(d))))
 
 
 def vertex_count_closed_form(d: int) -> tuple[int, int]:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .graphs import Graph, component_shapes, make_graph
+from .graphs import Graph, component_shapes, cycle_path_profile, make_graph
 from .linalg import minimal_circuit
 from .rationals import HALF, ONE, ZERO, int_from_json, point_from_strs, point_to_strs
 from .simplex import convex_combination
@@ -220,10 +220,7 @@ class Decomposition:
 
     def component_profile(self) -> tuple[tuple[int, ...], int]:
         """(sorted cycle lengths, path edge count) of the decomposition."""
-        return (
-            tuple(sorted(len(b) for b in self.circuit_blocks)),
-            len(self.independent_block),
-        )
+        return cycle_path_profile(self.graph)
 
     def to_json(self) -> dict:
         cycles, path_edges = self.component_profile()
@@ -268,19 +265,19 @@ def _blocks_graph(cycle_lengths: Sequence[int], path_edges: int) -> Graph:
 def recognize_graphical(gs: GeneratorSet) -> Decomposition:
     """Decompose a half-integral zonotope into cycle and path blocks.
 
-    Half-integrality is checked first (coordinate budget, then generator
-    entries).  Circuits are then peeled off one at a time; each must
-    certify with +-1 coefficients and a coordinate support disjoint from
-    everything else, otherwise the input contradicts half-integrality
-    and the error says which condition broke.
+    Half-integrality is checked first, by :func:`is_half_integral`; a
+    rejection names the coordinate budget's violations if it has any,
+    and the generator entries otherwise.  Circuits are then peeled off
+    one at a time; each must certify with +-1 coefficients and a
+    coordinate support disjoint from everything else, otherwise the
+    input contradicts half-integrality and the error says which
+    condition broke.
     """
-    ok, violations = coordinate_budget(gs)
-    if not ok:
-        raise NotHalfIntegralError(
-            "coordinate budget violated: " + "; ".join(msg for _, msg in violations)
-        )
-    verdict, _ = is_half_integral(gs)
-    if not verdict:
+    if not is_half_integral(gs)[0]:
+        ok, violations = coordinate_budget(gs)
+        if not ok:
+            violated = "; ".join(msg for _, msg in violations)
+            raise NotHalfIntegralError("coordinate budget violated: " + violated)
         raise NotHalfIntegralError(
             "not half-integral: translated vertex coordinates leave {0, 1/2, 1}"
         )

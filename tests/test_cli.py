@@ -232,19 +232,55 @@ def test_flow_guards(capsys):
     assert run(capsys, "flow", "--family", "product")[0] == 2
 
 
-@pytest.mark.parametrize(
-    "factors",
-    ["cube:10,cube:10", "cube:10,cube:1", "cube:11,hexagon", "hexagon,hexagon,hexagon,hexagon"],
-)
-def test_flow_product_size_guard(capsys, monkeypatch, factors):
+@pytest.fixture
+def no_routing_builds(monkeypatch):
     def unreachable(*args):
         raise AssertionError("a routing was built")
 
     for name in ("bitfix_routing", "punctured_routing", "hexagon_routing", "product_routing"):
         monkeypatch.setattr("halfint.cli." + name, unreachable)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    ["cube:10,cube:10", "cube:10,cube:1", "cube:11,hexagon", "hexagon,hexagon,hexagon,hexagon"],
+)
+def test_flow_product_size_guard(capsys, no_routing_builds, factors):
     code, out, err = run(capsys, "flow", "--family", "product", "--factors", factors)
     assert code == 2 and out == ""
     assert err == "error: product routings are limited to 1024 vertices, the size of cube:10\n"
+
+
+@pytest.mark.parametrize(
+    "factors,family,low",
+    [
+        ("cube:10,cube:0", "bitfix", 1),
+        ("cube:9,punctured:1", "punctured", 3),
+        ("cube:10,punctured:0", "punctured", 3),
+    ],
+)
+def test_flow_product_checks_every_factor_before_building(
+    capsys, no_routing_builds, factors, family, low
+):
+    code, out, err = run(capsys, "flow", "--family", "product", "--factors", factors)
+    assert code == 2 and out == ""
+    assert err == "error: %s routing supported for %d <= d <= 10\n" % (family, low)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("--family", "cube", "--d", "2", "--factors", "hexagon,hexagon"),
+         "--factors applies to the product family only"),
+        (("--family", "product", "--d", "3", "--factors", "cube:1,cube:1"),
+         "the product family takes its dimensions from --factors"),
+    ],
+    ids=["factors-without-product", "d-with-product"],
+)
+def test_flow_rejects_ignored_options(capsys, no_routing_builds, argv, message):
+    code, out, err = run(capsys, "flow", *argv)
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % message
 
 
 @pytest.mark.parametrize("factors", ["cube:5,cube:5", "punctured:3,cube:7"])

@@ -96,3 +96,76 @@ def test_minimal_circuit_is_minimal():
             assert rank(sub) == len(sub)
         for i in range(dim):
             assert sum(c * v[i] for c, v in zip(coeffs, member)) == 0
+
+
+def _reference_rref(rows):
+    """The Fraction Gauss-Jordan loop that row reduction used to run."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    if not mat:
+        return mat, pivots
+    row = 0
+    for col in range(len(mat[0])):
+        if row == len(mat):
+            break
+        pivot_row = next((i for i in range(row, len(mat)) if mat[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[row], mat[pivot_row] = mat[pivot_row], mat[row]
+        pivot = mat[row][col]
+        mat[row] = [x / pivot for x in mat[row]]
+        for i in range(len(mat)):
+            if i != row and mat[i][col] != 0:
+                factor = mat[i][col]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[row])]
+        pivots.append(col)
+        row += 1
+    return mat, pivots
+
+
+def _reference_circuit(vectors):
+    """The fundamental circuit of the first free column, lead coefficient +1."""
+    n = len(vectors)
+    if n == 0:
+        return None
+    columns = [[vec[i] for vec in vectors] for i in range(len(vectors[0]))]
+    reduced, pivots = _reference_rref(columns)
+    pivot_row = {c: r for r, c in enumerate(pivots)}
+    free = next((c for c in range(n) if c not in pivot_row), None)
+    if free is None:
+        return None
+    x = [Fraction(0)] * n
+    x[free] = Fraction(1)
+    for col, r in pivot_row.items():
+        x[col] = -reduced[r][free]
+    support = tuple(i for i in range(n) if x[i] != 0)
+    return support, tuple(x[i] / x[support[0]] for i in support)
+
+
+ENTRIES = [F(x) for x in ("0", "1", "-1", "2", "-3", "1/2", "-1/2", "1/3", "2/3", "-3/4", "5/7")]
+
+
+def _random_matrix(rng):
+    rows = rng.randint(0, 7)
+    cols = rng.randint(1, 8)
+    mat = [[rng.choice(ENTRIES) for _ in range(cols)] for _ in range(rows)]
+    if rows >= 2 and rng.random() < 0.3:
+        # a dependent last row: a combination of the rows above it
+        weights = [rng.choice(ENTRIES) for _ in range(rows - 1)]
+        mat[-1] = [sum(w * r[j] for w, r in zip(weights, mat)) for j in range(cols)]
+    return mat
+
+
+def test_bareiss_matches_fraction_reference():
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        mat = _random_matrix(rng)
+        reduced, pivots = rref(mat)
+        expected, expected_pivots = _reference_rref(mat)
+        assert (reduced, pivots) == (expected, expected_pivots)
+        assert all(type(x) is Fraction for row in reduced for x in row)
+        assert rank(mat) == len(expected_pivots)
+        circuit = minimal_circuit(mat)
+        assert circuit == _reference_circuit(mat)
+        if circuit is not None:
+            assert all(type(c) is Fraction for c in circuit[1])

