@@ -32,6 +32,7 @@ from .flows import (
     hexagon_routing,
     product_routing,
     punctured_routing,
+    vertex_count,
 )
 from .graphs import Graph, cartesian_product, expansion_bruteforce
 from .skeleton import skeleton_graph, skeleton_report
@@ -239,14 +240,6 @@ def _parse_factor(token: str) -> tuple[str, int]:
     return match.group(1), int(match.group(2))
 
 
-def _vertex_count(family: str, d: int) -> int:
-    """A factor's vertex count, read without building it; a dimension
-    above ``MAX_ROUTING_DIMENSION`` counts as more than any product may have."""
-    if family == "hexagon":
-        return 6
-    return 2 ** min(d, MAX_ROUTING_DIMENSION + 1) - (2 if family == "punctured" else 0)
-
-
 def _routing(family: str, d: int) -> Routing:
     if family == "hexagon":
         return hexagon_routing()
@@ -264,7 +257,7 @@ def _cmd_flow(args) -> int:
         factors = [_parse_factor(tok) for tok in args.factors.split(",")]
         if len(factors) < 2:
             raise UsageError("the product family needs at least two factors")
-        if prod(_vertex_count(*f) for f in factors) > 2**MAX_ROUTING_DIMENSION:
+        if prod(vertex_count(*f) for f in factors) > 2**MAX_ROUTING_DIMENSION:
             raise UsageError(
                 "product routings are limited to %d vertices, the size of cube:%d"
                 % (2**MAX_ROUTING_DIMENSION, MAX_ROUTING_DIMENSION)
@@ -390,6 +383,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if args.approx and args.format == "dot":
+            raise UsageError("--approx does not apply to --format dot")
         return args.func(args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)

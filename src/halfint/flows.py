@@ -13,10 +13,12 @@ denominator, the least common multiple of the weight denominators; only
 the reported per-arc flows are turned back into fractions.
 
 The concrete routings here are the hypercube bit-fixing scheme, its
-rerouted variant on the hypercube minus two antipodal vertices, the
-weighted shortest-path scheme on the hexagon, and the product
-construction that routes cross pairs through the intermediate vertex
-keeping the source's first coordinate and the target's second.
+rerouted variant on the hypercube minus two antipodal vertices (the
+cube's vertex v becomes v - 1), the weighted shortest-path scheme on
+the hexagon, and the product construction that routes every pair
+through the intermediate vertex keeping the source's first coordinate
+and the target's second, each factor vertex routing to itself along a
+one-vertex path.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from math import lcm
 from typing import Optional
 
 from .graphs import Graph, cartesian_product, cycle_graph, hypercube, induced_subgraph
+from .rationals import HALF, ONE
 
 Path = tuple[int, ...]
 WeightedPath = tuple[Path, Fraction]
@@ -205,52 +208,56 @@ def check_dimension(family: str, d: int) -> None:
         )
 
 
+def vertex_count(family: str, d: int) -> int:
+    """Vertex count of a routing family ("cube", "punctured" or "hexagon")
+    in dimension d, read without building it; a dimension above
+    ``MAX_ROUTING_DIMENSION`` counts as more than any product may have."""
+    if family == "hexagon":
+        return 6
+    return 2 ** min(d, MAX_ROUTING_DIMENSION + 1) - (2 if family == "punctured" else 0)
+
+
 def bitfix_routing(d: int) -> Routing:
     """All-pairs bit-fixing routing on Q_d; every arc carries 2^(d-1)."""
     check_dimension("cube", d)
     g = hypercube(d)
     n = 1 << d
     paths = {}
-    one = Fraction(1)
     for s in range(n):
         for t in range(n):
             if s != t:
-                paths[(s, t)] = [(_bitfix_path(s, t, d), one)]
+                paths[(s, t)] = [(_bitfix_path(s, t, d), ONE)]
     return Routing(g, paths)
 
 
 def punctured_routing(d: int) -> Routing:
     """Bit-fixing routing on Q_d minus the origin and the all-ones vertex.
 
-    Bit-fixing paths whose interior hits a removed vertex are patched
-    locally: a path entering the origin from e_i and leaving to e_j is
-    sent through e_i + e_j instead, and symmetrically at the all-ones
-    vertex through the vertex missing both flipped coordinates.  For
-    d >= 4 the two patched arc families are disjoint and every arc flow
-    stays at or below 3 * 2^(d-2); d = 3 is allowed but the families
-    overlap, so only the generic congestion guarantee applies.
+    The kept vertices are 1 .. 2^d - 2 in order, so Q_d's vertex v is
+    vertex v - 1 here.  Bit-fixing paths whose interior hits a removed
+    vertex are patched locally: a path entering the origin from e_i and
+    leaving to e_j is sent through e_i + e_j instead, and symmetrically
+    at the all-ones vertex through the vertex missing both flipped
+    coordinates.  For d >= 4 the two patched arc families are disjoint
+    and every arc flow stays at or below 3 * 2^(d-2); d = 3 is allowed
+    but the families overlap, so only the generic congestion guarantee
+    applies.
     """
     check_dimension("punctured", d)
-    origin = 0
     allones = (1 << d) - 1
-    full = hypercube(d)
-    keep = [v for v in range(1 << d) if v not in (origin, allones)]
-    g = induced_subgraph(full, keep)
-    new_index = {old: new for new, old in enumerate(keep)}
+    g = induced_subgraph(hypercube(d), range(1, allones))
     paths = {}
-    one = Fraction(1)
-    for s in keep:
-        for t in keep:
+    for s in range(1, allones):
+        for t in range(1, allones):
             if s == t:
                 continue
             path = list(_bitfix_path(s, t, d))
             for pos in range(1, len(path) - 1):
-                if path[pos] == origin:
+                if path[pos] == 0:
                     path[pos] = path[pos - 1] | path[pos + 1]
                 elif path[pos] == allones:
                     path[pos] = path[pos - 1] & path[pos + 1]
-            mapped = tuple(new_index[v] for v in path)
-            paths[(new_index[s], new_index[t])] = [(mapped, one)]
+            paths[(s - 1, t - 1)] = [(tuple(v - 1 for v in path), ONE)]
     return Routing(g, paths)
 
 
@@ -263,8 +270,6 @@ def hexagon_routing() -> Routing:
     """
     g = cycle_graph(6)
     paths = {}
-    one = Fraction(1)
-    half = Fraction(1, 2)
     for s in range(6):
         for t in range(6):
             if s == t:
@@ -272,55 +277,43 @@ def hexagon_routing() -> Routing:
             forward = (t - s) % 6
             if forward in (1, 2):
                 walk = tuple((s + step) % 6 for step in range(forward + 1))
-                paths[(s, t)] = [(walk, one)]
+                paths[(s, t)] = [(walk, ONE)]
             elif forward in (4, 5):
                 backward = 6 - forward
                 walk = tuple((s - step) % 6 for step in range(backward + 1))
-                paths[(s, t)] = [(walk, one)]
+                paths[(s, t)] = [(walk, ONE)]
             else:
                 cw = tuple((s + step) % 6 for step in range(4))
                 ccw = tuple((s - step) % 6 for step in range(4))
-                paths[(s, t)] = [(cw, half), (ccw, half)]
+                paths[(s, t)] = [(cw, HALF), (ccw, HALF)]
     return Routing(g, paths)
 
 
 def product_routing(rg: Routing, rh: Routing) -> Routing:
     """Routing on the cartesian product from routings of the factors.
 
-    Same-row and same-column pairs reuse the factor paths inside their
-    copy.  A cross pair (u1, v1) -> (u2, v2) is routed through the
-    intermediate vertex (u1, v2): first the second factor's paths inside
-    copy u1, then the first factor's paths inside copy v2, with product
-    weights.  The congestion of the result never exceeds the larger
-    factor congestion.
+    A pair (u1, v1) -> (u2, v2) is routed through the intermediate
+    vertex (u1, v2): first the second factor's paths inside copy u1,
+    then the first factor's paths inside copy v2, with product weights.
+    Each factor vertex also routes to itself along the one-vertex path
+    ``(u,)`` with weight 1, so a same-row or same-column pair reuses the
+    other factor's paths inside its copy.  The congestion of the result
+    never exceeds the larger factor congestion.
     """
     g, h = rg.graph, rh.graph
-    product = cartesian_product(g, h)
     nh = h.n
-
-    def idx(u: int, v: int) -> int:
-        return u * nh + v
-
+    gpaths = {(u, u): [((u,), ONE)] for u in range(g.n)} | rg.paths
+    hpaths = {(v, v): [((v,), ONE)] for v in range(nh)} | rh.paths
     paths: dict[tuple[int, int], list[WeightedPath]] = {}
-    for u in range(g.n):
-        for (v1, v2), entries in rh.paths.items():
-            lifted = [
-                (tuple(idx(u, x) for x in path), w) for path, w in entries
-            ]
-            paths[(idx(u, v1), idx(u, v2))] = lifted
-    for v in range(h.n):
-        for (u1, u2), entries in rg.paths.items():
-            lifted = [
-                (tuple(idx(y, v) for y in path), w) for path, w in entries
-            ]
-            paths[(idx(u1, v), idx(u2, v))] = lifted
-    for (u1, u2) in rg.paths:
-        for (v1, v2) in rh.paths:
+    for (u1, u2), gentries in gpaths.items():
+        for (v1, v2), hentries in hpaths.items():
+            if u1 == u2 and v1 == v2:
+                continue
             combined = []
-            for hpath, hw in rh.paths[(v1, v2)]:
-                first_leg = tuple(idx(u1, x) for x in hpath)
-                for gpath, gw in rg.paths[(u1, u2)]:
-                    second_leg = tuple(idx(y, v2) for y in gpath[1:])
+            for hpath, hw in hentries:
+                first_leg = tuple(u1 * nh + x for x in hpath)
+                for gpath, gw in gentries:
+                    second_leg = tuple(y * nh + v2 for y in gpath[1:])
                     combined.append((first_leg + second_leg, hw * gw))
-            paths[(idx(u1, v1), idx(u2, v2))] = combined
-    return Routing(product, paths)
+            paths[(u1 * nh + v1, u2 * nh + v2)] = combined
+    return Routing(cartesian_product(g, h), paths)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .graphs import Graph, component_shapes, cycle_path_profile, make_graph
+from .graphs import Graph, component_shapes, make_graph
 from .linalg import minimal_circuit
 from .rationals import HALF, ONE, ZERO, int_from_json, point_from_strs, point_to_strs
 from .simplex import convex_combination
@@ -219,8 +219,9 @@ class Decomposition:
     graph: Graph
 
     def component_profile(self) -> tuple[tuple[int, ...], int]:
-        """(sorted cycle lengths, path edge count) of the decomposition."""
-        return cycle_path_profile(self.graph)
+        """(sorted cycle lengths, path edge count), read off the blocks."""
+        cycles = tuple(sorted(len(b) for b in self.circuit_blocks))
+        return cycles, len(self.independent_block)
 
     def to_json(self) -> dict:
         cycles, path_edges = self.component_profile()

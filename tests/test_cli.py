@@ -475,6 +475,25 @@ def test_dot_rejected_without_graph(capsys):
     assert "DOT" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sparsecut", "--d", "3", "--report", "skeleton"),
+        ("graph", "--action", "product", "--in", "missing-a.json", "--in2", "missing-b.json"),
+    ],
+    ids=["sparsecut-skeleton", "graph-product"],
+)
+def test_approx_rejected_with_dot(capsys, monkeypatch, argv):
+    def unreachable(*args):
+        raise AssertionError("a report was computed")
+
+    for name in ("skeleton_graph", "cartesian_product", "_load_json"):
+        monkeypatch.setattr("halfint.cli." + name, unreachable)
+    code, out, err = run(capsys, *argv, "--format", "dot", "--approx")
+    assert code == 2 and out == ""
+    assert err == "error: --approx does not apply to --format dot\n"
+
+
 def test_threads_option_is_gone(capsys):
     code, out, err = run(capsys, "flow", "--family", "hexagon", "--threads", "4")
     assert code == 2 and out == ""

@@ -18,8 +18,15 @@ from halfint.flows import (
     product_routing,
     punctured_routing,
     validate,
+    vertex_count,
 )
-from halfint.graphs import expansion_bruteforce, make_graph
+from halfint.graphs import (
+    cartesian_product,
+    expansion_bruteforce,
+    hypercube,
+    induced_subgraph,
+    make_graph,
+)
 
 
 def test_bitfix_small_valid():
@@ -452,3 +459,107 @@ def test_argmax_tie_follows_labels_not_indices():
     rep = congestion(routing)
     assert rep.argmax_arc == ("a", "m") and rep.max_arc_flow == 2
     _assert_matches_reference(routing)
+
+
+def test_vertex_count_matches_the_built_routings():
+    for d in range(1, 9):
+        assert vertex_count("cube", d) == bitfix_routing(d).graph.n
+    for d in range(3, 9):
+        assert vertex_count("punctured", d) == punctured_routing(d).graph.n
+    assert vertex_count("hexagon", 0) == hexagon_routing().graph.n
+    # above the routed range every family counts as too large for a product
+    assert vertex_count("cube", 99) == 2 ** (MAX_ROUTING_DIMENSION + 1)
+
+
+# ------------------------------------------- construction reference
+
+def _bitfix_reference_path(s, t, d):
+    path = [s]
+    for k in range(d):
+        bit = 1 << (d - 1 - k)
+        if (path[-1] ^ t) & bit:
+            path.append(path[-1] ^ bit)
+    return tuple(path)
+
+
+def _reference_punctured_routing(d):
+    """Index-map construction, kept as the reference for ``punctured_routing``."""
+    origin = 0
+    allones = (1 << d) - 1
+    full = hypercube(d)
+    keep = [v for v in range(1 << d) if v not in (origin, allones)]
+    g = induced_subgraph(full, keep)
+    new_index = {old: new for new, old in enumerate(keep)}
+    paths = {}
+    one = Fraction(1)
+    for s in keep:
+        for t in keep:
+            if s == t:
+                continue
+            path = list(_bitfix_reference_path(s, t, d))
+            for pos in range(1, len(path) - 1):
+                if path[pos] == origin:
+                    path[pos] = path[pos - 1] | path[pos + 1]
+                elif path[pos] == allones:
+                    path[pos] = path[pos - 1] & path[pos + 1]
+            mapped = tuple(new_index[v] for v in path)
+            paths[(new_index[s], new_index[t])] = [(mapped, one)]
+    return Routing(g, paths)
+
+
+def _reference_product_routing(rg, rh):
+    """Three-loop construction (rows, columns, then cross pairs), kept as
+    the reference for ``product_routing``."""
+    g, h = rg.graph, rh.graph
+    nh = h.n
+
+    def idx(u, v):
+        return u * nh + v
+
+    paths = {}
+    for u in range(g.n):
+        for (v1, v2), entries in rh.paths.items():
+            paths[(idx(u, v1), idx(u, v2))] = [
+                (tuple(idx(u, x) for x in path), w) for path, w in entries
+            ]
+    for v in range(h.n):
+        for (u1, u2), entries in rg.paths.items():
+            paths[(idx(u1, v), idx(u2, v))] = [
+                (tuple(idx(y, v) for y in path), w) for path, w in entries
+            ]
+    for (u1, u2) in rg.paths:
+        for (v1, v2) in rh.paths:
+            combined = []
+            for hpath, hw in rh.paths[(v1, v2)]:
+                first_leg = tuple(idx(u1, x) for x in hpath)
+                for gpath, gw in rg.paths[(u1, u2)]:
+                    second_leg = tuple(idx(y, v2) for y in gpath[1:])
+                    combined.append((first_leg + second_leg, hw * gw))
+            paths[(idx(u1, v1), idx(u2, v2))] = combined
+    return Routing(cartesian_product(g, h), paths)
+
+
+def _assert_same_routing(routing, reference):
+    assert routing.paths == reference.paths
+    assert routing.to_json() == reference.to_json()
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_punctured_routing_matches_index_map_reference(d):
+    _assert_same_routing(punctured_routing(d), _reference_punctured_routing(d))
+
+
+def test_product_routing_matches_three_loop_reference():
+    factors = {"c6": hexagon_routing(), "p3": punctured_routing(3),
+               "p4": punctured_routing(4), "q1": bitfix_routing(1),
+               "q2": bitfix_routing(2), "q3": bitfix_routing(3)}
+    pairs = [(a, b) for a in factors.values() for b in factors.values()
+             if a.graph.n * b.graph.n <= 200]
+    assert len(pairs) == 36
+    for a, b in pairs:
+        _assert_same_routing(product_routing(a, b), _reference_product_routing(a, b))
+    q1, c6 = factors["q1"], factors["c6"]
+    _assert_same_routing(
+        product_routing(product_routing(q1, c6), q1),
+        _reference_product_routing(_reference_product_routing(q1, c6), q1),
+    )

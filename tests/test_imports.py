@@ -1,9 +1,12 @@
-"""Every module-level import of the library is used.
+"""Every module-level import and private name of the library is used.
 
 No linter ships with the test environment, so this stands in for the
-unused-import check: each module of ``src/halfint`` except the package
-``__init__`` (whose imports are its re-exports) is parsed with ``ast``,
-and every name a module-level import binds must occur as a ``Name``.
+unused-import and dead-code checks.  Each module of ``src/halfint``
+except the package ``__init__`` (whose imports are its re-exports) is
+parsed with ``ast``, and every name a module-level import binds must
+occur as a ``Name``.  Every module-level private name (``_x``) defined
+anywhere in the package must be read somewhere in it: as a ``Name``, an
+attribute, or an imported name.
 """
 
 import ast
@@ -11,11 +14,8 @@ from pathlib import Path
 
 import pytest
 
-MODULES = sorted(
-    p
-    for p in (Path(__file__).resolve().parents[1] / "src" / "halfint").glob("*.py")
-    if p.name != "__init__.py"
-)
+PACKAGE = sorted((Path(__file__).resolve().parents[1] / "src" / "halfint").glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _imported_names(tree):
@@ -37,3 +37,37 @@ def test_module_level_imports_are_used(path):
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in _imported_names(tree) if name not in used] == []
+
+
+def _private_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def _references(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_module_level_private_names_are_used():
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE}
+    used = {name for tree in trees.values() for name in _references(tree)}
+    unused = [
+        "%s.%s" % (module, name)
+        for module, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in used
+    ]
+    assert unused == []
