@@ -6,6 +6,12 @@ byte: JSON keys are sorted, lists are sorted by construction, and all
 numbers are exact rational strings (``--approx`` adds a decimal
 rendering next to them for human readers).
 
+Each request takes one path: parse, refuse, compute, emit once.  Only
+the three reports that carry a graph (sparsecut skeleton, zono
+recognize, graph product) render as DOT.  ``--format dot`` on any other
+report, and ``--in2`` outside graph product, are refused before any
+input is read.
+
 Exit codes: 0 on success, 2 for usage or desk-scale guard violations,
 3 when a mathematical precondition fails (e.g. recognizing a zonotope
 that is not half-integral).
@@ -54,8 +60,13 @@ CLOSED_FORM_MAX_DIMENSION = 4095
 
 _RATIONAL = re.compile(r"-?\d+/\d+\Z")
 
+# (subcommand, --report or --action) of the reports that carry a graph,
+# the only ones with a DOT rendering
+_GRAPH_REPORTS = {("sparsecut", "skeleton"), ("zono", "recognize"), ("graph", "product")}
+Report = tuple[dict, Optional[Graph]]  # a JSON payload and its graph, if any
 
-class UsageError(Exception):
+
+class UsageError(ValueError):
     """Bad arguments or a desk-scale guard violation (exit code 2)."""
 
 
@@ -101,8 +112,9 @@ def _render_text(payload: dict, approx: bool) -> str:
 
 def _dumps(value, indent: str = "\n") -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, with
-    one join per container (the stdlib encodes indented JSON in pure
-    Python, one chunk at a time)."""
+    joins (the stdlib encodes indented JSON in pure Python, one chunk at
+    a time).  Brackets go on in one join: chained ``+`` would copy a
+    multi-megabyte body once per operand."""
     if isinstance(value, str):
         return _string(value)
     if value is None:
@@ -121,21 +133,19 @@ def _dumps(value, indent: str = "\n") -> str:
             _string(k) + ": " + (_string(v) if type(v) is str else _dumps(v, inner))
             for k, v in sorted(value.items())
         ])
-        return "{" + inner + body + indent + "}"
+        return "".join(("{", inner, body, indent, "}"))
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         body = ("," + inner).join([
             _string(v) if type(v) is str else _dumps(v, inner) for v in value
         ])
-        return "[" + inner + body + indent + "]"
+        return "".join(("[", inner, body, indent, "]"))
     raise TypeError("cannot render %s as JSON" % type(value).__name__)
 
 
-def _emit(args, payload: dict, graph: Optional[Graph] = None) -> None:
+def _emit(args, payload: dict, graph: Optional[Graph]) -> None:
     if args.format == "dot":
-        if graph is None:
-            raise UsageError("this report has no DOT rendering")
         text = graph.to_dot()
     elif args.format == "text":
         text = _render_text(payload, args.approx)
@@ -161,7 +171,7 @@ def _load_json(path: Optional[str]):
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise UsageError("cannot read input: %s" % exc)
 
 
@@ -173,47 +183,38 @@ def _load(path: Optional[str], parse, what: str):
         raise UsageError("malformed %s input: %s" % (what, exc))
 
 
-def _cmd_sparsecut(args) -> int:
+def _cmd_sparsecut(args) -> Report:
     if args.d > CLOSED_FORM_MAX_DIMENSION:
         raise UsageError(
             "sparse-cut reports are limited to d <= %d" % CLOSED_FORM_MAX_DIMENSION
         )
     if args.report == "counts":
-        _emit(args, counts_to_json(args.d))
-    elif args.report == "cut":
-        _emit(args, cut_report(args.d).to_json())
-    else:
-        if args.d > SKELETON_MAX_DIMENSION:
-            raise UsageError(
-                "skeleton reports are limited to d <= %d" % SKELETON_MAX_DIMENSION
-            )
-        instance = build(args.d)
-        graph = skeleton_graph(instance.vertices)
-        _emit(args, skeleton_report(instance.vertices, graph), graph)
-    return 0
+        return counts_to_json(args.d), None
+    if args.report == "cut":
+        return cut_report(args.d).to_json(), None
+    if args.d > SKELETON_MAX_DIMENSION:
+        raise UsageError(
+            "skeleton reports are limited to d <= %d" % SKELETON_MAX_DIMENSION
+        )
+    instance = build(args.d)
+    graph = skeleton_graph(instance.vertices)
+    return skeleton_report(instance.vertices, graph), graph
 
 
-def _cmd_zono(args) -> int:
+def _cmd_zono(args) -> Report:
     if args.action == "realize":
         graph = _load(args.input, Graph.from_json, "graph")
-        _emit(args, realize_half_integral(graph).to_json())
-        return 0
+        return realize_half_integral(graph).to_json(), None
     gens = _load(args.input, GeneratorSet.from_json, "generator")
     if args.action == "vertices":
         points = zonotope_vertices(gens)
-        payload = dict(points.to_json(), vertex_count=len(points))
-        _emit(args, payload)
-    elif args.action == "check":
+        return dict(points.to_json(), vertex_count=len(points)), None
+    if args.action == "check":
         verdict, translation = is_half_integral(gens)
-        payload = {
-            "half_integral": verdict,
-            "translation": [str(t) for t in translation] if verdict else None,
-        }
-        _emit(args, payload)
-    else:
-        decomposition = recognize_graphical(gens)
-        _emit(args, decomposition.to_json(), decomposition.graph)
-    return 0
+        translation = [str(t) for t in translation] if verdict else None
+        return {"half_integral": verdict, "translation": translation}, None
+    decomposition = recognize_graphical(gens)
+    return decomposition.to_json(), decomposition.graph
 
 
 _FACTOR = re.compile(r"(cube|punctured):([0-9]+)\Z")
@@ -246,7 +247,7 @@ def _routing(family: str, d: int) -> Routing:
     return bitfix_routing(d) if family == "cube" else punctured_routing(d)
 
 
-def _cmd_flow(args) -> int:
+def _cmd_flow(args) -> Report:
     if args.factors is not None and args.family != "product":
         raise UsageError("--factors applies to the product family only")
     if args.family == "product":
@@ -285,23 +286,21 @@ def _cmd_flow(args) -> int:
     )
     if args.routing:
         payload["routing"] = routing.to_json()
-    _emit(args, payload)
-    return 0
+    return payload, None
 
 
-def _cmd_graph(args) -> int:
-    graph = _load(args.input, Graph.from_json, "graph")
+def _cmd_graph(args) -> Report:
     if args.action == "expansion":
+        if args.input2 is not None:
+            raise UsageError("--in2 applies to the product action only")
+        graph = _load(args.input, Graph.from_json, "graph")
         value, witness = expansion_bruteforce(graph)
-        payload = {"expansion": str(value), "witness": witness.to_json(graph)}
-        _emit(args, payload)
-    else:
-        if args.input2 is None:
-            raise UsageError("the product action requires a second graph (--in2)")
-        other = _load(args.input2, Graph.from_json, "graph")
-        product = cartesian_product(graph, other)
-        _emit(args, product.to_json(), product)
-    return 0
+        return {"expansion": str(value), "witness": witness.to_json(graph)}, None
+    if args.input2 is None:
+        raise UsageError("the product action requires a second graph (--in2)")
+    graph = _load(args.input, Graph.from_json, "graph")
+    product = cartesian_product(graph, _load(args.input2, Graph.from_json, "graph"))
+    return product.to_json(), product
 
 
 def _add_common(sub) -> None:
@@ -382,19 +381,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    mode = getattr(args, "report", getattr(args, "action", None))
     try:
         if args.approx and args.format == "dot":
             raise UsageError("--approx does not apply to --format dot")
-        return args.func(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except NotHalfIntegralError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
+        if args.format == "dot" and (args.command, mode) not in _GRAPH_REPORTS:
+            raise UsageError("this report has no DOT rendering")
+        _emit(args, *args.func(args))
+        return 0
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NotHalfIntegralError) else 2
 
 
 if __name__ == "__main__":

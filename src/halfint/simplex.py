@@ -68,13 +68,12 @@ class _Tableau:
         self.det = prow[entering]
         return cost
 
-    def minimize(self, cost: list[int], allowed_width: int, stop_when_negative: bool = False):
+    def minimize(self, cost: list[int], stop_when_negative: bool = False):
         """Run Bland pivots until the reduced costs are nonnegative.
 
         ``cost`` is the reduced-cost row; the updated row is returned.
-        Entering variables are restricted to the first ``allowed_width``
-        columns.  With ``stop_when_negative`` the loop exits as soon as
-        the objective drops below zero (the caller only needs the sign).
+        With ``stop_when_negative`` the loop exits as soon as the
+        objective drops below zero (the caller only needs the sign).
         """
         m = self.m
         w = self.width
@@ -82,7 +81,7 @@ class _Tableau:
         while True:
             if stop_when_negative and cost[w] > 0:
                 return cost
-            entering = next((j for j in range(allowed_width) if cost[j] < 0), None)
+            entering = next((j for j in range(w) if cost[j] < 0), None)
             if entering is None:
                 return cost
             pivot_row = None
@@ -106,7 +105,7 @@ class _Tableau:
         cost = [-sum(row[j] for row in self.rows) for j in range(self.n)]
         cost.extend(0 for _ in range(self.m))
         cost.append(-sum(row[self.width] for row in self.rows))
-        return self.minimize(cost, self.width)[self.width] == 0
+        return self.minimize(cost)[self.width] == 0
 
     def drop_artificials(self) -> None:
         """Drive basic artificials out, deleting dependent rows, then their columns."""
@@ -175,7 +174,7 @@ def lp_maximize(
     for i, j in enumerate(tab.basis):
         if cost[j]:
             reduced = [a - cost[j] * b for a, b in zip(reduced, tab.rows[i])]
-    reduced = tab.minimize(reduced, tab.n, stop_when_negative=stop_when_positive)
+    reduced = tab.minimize(reduced, stop_when_negative=stop_when_positive)
     return Fraction(reduced[tab.width], tab.det * den), tab.solution()
 
 

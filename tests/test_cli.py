@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from halfint.cli import main
+from halfint.cli import _GRAPH_REPORTS, build_parser, main
 from halfint.graphs import MAX_EXPANSION_VERTICES, cycle_graph, hypercube, make_graph
 
 HEX_GENS = {
@@ -29,6 +29,15 @@ def write_json(tmp_path, name, data):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def forbid(monkeypatch, *names):
+    """Make each named ``halfint.cli`` function fail the test if it is called."""
+    def unreachable(*args):
+        raise AssertionError("a report was computed")
+
+    for name in names:
+        monkeypatch.setattr("halfint.cli." + name, unreachable)
 
 
 def test_sparsecut_counts(capsys):
@@ -232,13 +241,12 @@ def test_flow_guards(capsys):
     assert run(capsys, "flow", "--family", "product")[0] == 2
 
 
+_ROUTING_BUILDS = ("bitfix_routing", "punctured_routing", "hexagon_routing", "product_routing")
+
+
 @pytest.fixture
 def no_routing_builds(monkeypatch):
-    def unreachable(*args):
-        raise AssertionError("a routing was built")
-
-    for name in ("bitfix_routing", "punctured_routing", "hexagon_routing", "product_routing"):
-        monkeypatch.setattr("halfint.cli." + name, unreachable)
+    forbid(monkeypatch, *_ROUTING_BUILDS)
 
 
 @pytest.mark.parametrize(
@@ -469,12 +477,6 @@ def test_approx_renders_long_rationals_exactly(capsys, tmp_path):
     }
 
 
-def test_dot_rejected_without_graph(capsys):
-    code, _, err = run(capsys, "flow", "--family", "hexagon", "--format", "dot")
-    assert code == 2
-    assert "DOT" in err
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -484,14 +486,67 @@ def test_dot_rejected_without_graph(capsys):
     ids=["sparsecut-skeleton", "graph-product"],
 )
 def test_approx_rejected_with_dot(capsys, monkeypatch, argv):
-    def unreachable(*args):
-        raise AssertionError("a report was computed")
-
-    for name in ("skeleton_graph", "cartesian_product", "_load_json"):
-        monkeypatch.setattr("halfint.cli." + name, unreachable)
+    forbid(monkeypatch, "skeleton_graph", "cartesian_product", "_load_json")
     code, out, err = run(capsys, *argv, "--format", "dot", "--approx")
     assert code == 2 and out == ""
     assert err == "error: --approx does not apply to --format dot\n"
+
+
+# every report of every subcommand; GENS and GRAPH stand for input files
+_REPORTS = {
+    "sparsecut-counts": ("sparsecut", "--d", "3", "--report", "counts"),
+    "sparsecut-cut": ("sparsecut", "--d", "3", "--report", "cut"),
+    "sparsecut-skeleton": ("sparsecut", "--d", "3", "--report", "skeleton"),
+    "zono-vertices": ("zono", "--action", "vertices", "--in", "GENS"),
+    "zono-check": ("zono", "--action", "check", "--in", "GENS"),
+    "zono-recognize": ("zono", "--action", "recognize", "--in", "GENS"),
+    "zono-realize": ("zono", "--action", "realize", "--in", "GRAPH"),
+    "flow": ("flow", "--family", "cube", "--d", "10"),
+    "graph-expansion": ("graph", "--action", "expansion", "--in", "GRAPH"),
+    "graph-product": ("graph", "--action", "product", "--in", "GRAPH", "--in2", "GRAPH"),
+}
+_DOT_REPORTS = {"sparsecut-skeleton", "zono-recognize", "graph-product"}
+
+
+@pytest.mark.parametrize("report", sorted(_REPORTS))
+def test_dot_format_for_every_report(capsys, monkeypatch, tmp_path, report):
+    files = {
+        "GENS": write_json(tmp_path, "gens.json", HEX_GENS),
+        "GRAPH": write_json(tmp_path, "graph.json", cycle_graph(3).to_json()),
+    }
+    argv = [files.get(arg, arg) for arg in _REPORTS[report]]
+    if report not in _DOT_REPORTS:
+        forbid(monkeypatch, "_load_json", "counts_to_json", "cut_report", "build",
+               "skeleton_graph", "zonotope_vertices", "is_half_integral",
+               "recognize_graphical", "realize_half_integral", "congestion",
+               "expansion_bruteforce", "cartesian_product", *_ROUTING_BUILDS)
+    code, out, err = run(capsys, *argv, "--format", "dot")
+    if report in _DOT_REPORTS:
+        assert code == 0 and err == "" and out.startswith("graph G {\n")
+    else:
+        assert code == 2 and out == ""
+        assert err == "error: this report has no DOT rendering\n"
+
+
+def test_graph_reports_name_parser_choices():
+    def choices(parser, *dests):
+        return next((a.choices for a in parser._actions if a.dest in dests), ())
+
+    commands = choices(build_parser(), "command")
+    for command, mode in sorted(_GRAPH_REPORTS):
+        assert command in commands
+        assert mode in choices(commands[command], "report", "action")
+
+
+def test_in2_rejected_outside_product(capsys, monkeypatch, tmp_path):
+    forbid(monkeypatch, "_load_json")
+    path = write_json(tmp_path, "c3.json", cycle_graph(3).to_json())
+    code, out, err = run(
+        capsys, "graph", "--action", "expansion", "--in", path,
+        "--in2", str(tmp_path / "missing.json"),
+    )
+    assert code == 2 and out == ""
+    assert err == "error: --in2 applies to the product action only\n"
 
 
 def test_threads_option_is_gone(capsys):

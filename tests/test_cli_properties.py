@@ -162,3 +162,25 @@ def test_graph_actions_on_arbitrary_json(argv, data):
     assert code in (0, 2, 3)
     assert "Traceback" not in err
     assert code != 0 or valid_graph(data)
+
+
+NESTED = "[" * 100_000 + "]" * 100_000  # far deeper than the default recursion limit
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize(
+    "argv",
+    [("zono", "--action", "check"), ("graph", "--action", "expansion")],
+    ids=["zono-check", "graph-expansion"],
+)
+def test_deeply_nested_json_is_refused(monkeypatch, tmp_path, argv, source):
+    path = tmp_path / "nested.json"
+    path.write_text(NESTED)
+    monkeypatch.setattr("sys.stdin", io.StringIO(NESTED))
+    where = ["--in", str(path)] if source == "file" else []
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([*argv, *where])
+    assert code == 2
+    assert err.getvalue().startswith("error: cannot read input: ")
+    assert "Traceback" not in err.getvalue()
