@@ -145,6 +145,9 @@ def _dumps(value, indent: str = "\n") -> str:
 
 
 def _emit(args, payload: dict, graph: Optional[Graph]) -> None:
+    # JSON ends in a newline written on its own: appending it to a
+    # multi-megabyte body would copy the body once more.
+    end = ""
     if args.format == "dot":
         text = graph.to_dot()
     elif args.format == "text":
@@ -154,13 +157,14 @@ def _emit(args, payload: dict, graph: Optional[Graph]) -> None:
             approx = _approx_map(payload)
             if approx:
                 payload = dict(payload, approx=approx)
-        text = _dumps(payload) + "\n"
+        text = _dumps(payload)
+        end = "\n"
     if args.out is None or args.out == "-":
-        sys.stdout.write(text)
+        print(text, end=end)
         return
     try:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            print(text, end=end, file=fh)
     except OSError as exc:
         raise UsageError("cannot write output: %s" % exc)
 

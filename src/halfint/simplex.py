@@ -8,12 +8,19 @@ system is infeasible, and an optimal value is exact.
 
 The tableau is fraction-free: it pivots with the Bareiss update that
 ``linalg`` holds (``_eliminate``).  The system is scaled by one common
-denominator, so the starting tableau ``[A | I | b]`` is integral with
-basis determinant 1, and from then on every entry is ``det`` times the
-entry of the rational tableau, where ``det > 0`` is the basis
-determinant up to sign.  A positive scale changes no sign and no ratio
-that Bland's rule reads, so the pivots are the ones a rational tableau
-takes.  Witnesses and values leave as ``Fraction``.
+denominator, so the starting tableau ``[A | b]`` is integral, and from
+then on every entry is ``det`` times the entry of the rational tableau,
+where ``det > 0`` is the basis determinant up to sign.  A positive
+scale changes no sign and no ratio that Bland's rule reads, so the
+pivots are the ones a rational tableau takes.  Witnesses and values
+leave as ``Fraction``.
+
+Phase 1 starts from an artificial basis (determinant 1) that is markers
+only: no identity columns are stored, and only structural columns enter,
+so an artificial that leaves never returns.  None has to: a feasible
+point uses structural columns only, so a feasible system keeps its
+phase-1 optimum at zero as columns drop, and Bland's rule terminates
+between the at most ``m`` drops.
 """
 
 from __future__ import annotations
@@ -28,17 +35,17 @@ _ZERO = Fraction(0)
 
 
 class _Tableau:
-    """Integer simplex tableau for ``A x = b, x >= 0`` with artificial basis.
+    """Integer simplex tableau ``[A | b]`` for ``A x = b, x >= 0``.
 
     Each row holds ``det`` times a row of the rational tableau, with its
-    right-hand side in the last slot, index ``width``.  Reduced-cost rows
+    right-hand side in the last slot, index ``n``.  Reduced-cost rows
     have the same layout and hold the negated objective value there.
+    An artificial basic in row ``i`` is recorded as ``n + i``.
     """
 
     def __init__(self, rows: Sequence[Sequence], rhs: Sequence):
         self.m = len(rows)
         self.n = len(rows[0]) if self.m else 0
-        self.width = self.n + self.m
         self.det = 1
         den = lcm(
             *{x.denominator for row in rows for x in row}, *{x.denominator for x in rhs}
@@ -46,13 +53,8 @@ class _Tableau:
         self.rows: list[list[int]] = []
         for i in range(self.m):
             row = _scaled(rows[i], den)
-            b = rhs[i].numerator * (den // rhs[i].denominator)
-            if b < 0:
-                row = [-x for x in row]
-                b = -b
-            row.extend(1 if j == i else 0 for j in range(self.m))
-            row.append(b)
-            self.rows.append(row)
+            row.append(rhs[i].numerator * (den // rhs[i].denominator))
+            self.rows.append(row if row[-1] >= 0 else [-x for x in row])
         self.basis = [self.n + i for i in range(self.m)]
 
     def pivot(self, pivot_row: int, entering: int, cost: Optional[list[int]] = None):
@@ -76,12 +78,12 @@ class _Tableau:
         objective drops below zero (the caller only needs the sign).
         """
         m = self.m
-        w = self.width
+        n = self.n
         rows = self.rows
         while True:
-            if stop_when_negative and cost[w] > 0:
+            if stop_when_negative and cost[n] > 0:
                 return cost
-            entering = next((j for j in range(w) if cost[j] < 0), None)
+            entering = next((j for j in range(n) if cost[j] < 0), None)
             if entering is None:
                 return cost
             pivot_row = None
@@ -89,48 +91,44 @@ class _Tableau:
                 coef = rows[i][entering]
                 if coef > 0:
                     if pivot_row is None:
-                        pivot_row, num, den = i, rows[i][w], coef
+                        pivot_row, num, den = i, rows[i][n], coef
                         continue
-                    # rows[i][w] / coef against num / den, all positive denominators
-                    lhs = rows[i][w] * den
+                    # rows[i][n] / coef against num / den, all positive denominators
+                    lhs = rows[i][n] * den
                     rhs = num * coef
                     if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[pivot_row]):
-                        pivot_row, num, den = i, rows[i][w], coef
+                        pivot_row, num, den = i, rows[i][n], coef
             if pivot_row is None:
                 raise ArithmeticError("simplex objective unbounded below")
             cost = self.pivot(pivot_row, entering, cost)
 
     def run_phase1(self) -> bool:
         """Minimize the artificial sum; whether it reaches zero."""
-        cost = [-sum(row[j] for row in self.rows) for j in range(self.n)]
-        cost.extend(0 for _ in range(self.m))
-        cost.append(-sum(row[self.width] for row in self.rows))
-        return self.minimize(cost)[self.width] == 0
+        cost = [-sum(column) for column in zip(*self.rows)]
+        return self.minimize(cost)[self.n] == 0
 
     def drop_artificials(self) -> None:
-        """Drive basic artificials out, deleting dependent rows, then their columns."""
+        """Pivot each basic artificial out, or delete its row when the row is zero."""
         keep = []
         for i in range(self.m):
-            if self.basis[i] < self.n:
-                keep.append(i)
-                continue
-            entering = next((j for j in range(self.n) if self.rows[i][j] != 0), None)
-            if entering is not None:
+            if self.basis[i] >= self.n:
+                entering = next((j for j in range(self.n) if self.rows[i][j] != 0), None)
+                if entering is None:
+                    continue
                 self.pivot(i, entering)
                 if self.det < 0:
                     self.rows = [[-x for x in row] for row in self.rows]
                     self.det = -self.det
-                keep.append(i)
-        self.rows = [self.rows[i][: self.n] + self.rows[i][-1:] for i in keep]
+            keep.append(i)
+        self.rows = [self.rows[i] for i in keep]
         self.basis = [self.basis[i] for i in keep]
         self.m = len(keep)
-        self.width = self.n
 
     def solution(self) -> tuple[Fraction, ...]:
         witness = [_ZERO] * self.n
         for i, j in enumerate(self.basis):
             if j < self.n:
-                witness[j] = Fraction(self.rows[i][self.width], self.det)
+                witness[j] = Fraction(self.rows[i][self.n], self.det)
         return tuple(witness)
 
 
@@ -175,7 +173,7 @@ def lp_maximize(
         if cost[j]:
             reduced = [a - cost[j] * b for a, b in zip(reduced, tab.rows[i])]
     reduced = tab.minimize(reduced, stop_when_negative=stop_when_positive)
-    return Fraction(reduced[tab.width], tab.det * den), tab.solution()
+    return Fraction(reduced[tab.n], tab.det * den), tab.solution()
 
 
 def convex_combination(

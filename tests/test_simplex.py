@@ -4,9 +4,12 @@ a brute-force barycentric oracle that never touches the simplex code."""
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from typing import Optional, Sequence
 
 import pytest
 
+from halfint.linalg import _eliminate, _scaled
 from halfint.simplex import (
     _Tableau,
     convex_combination,
@@ -321,3 +324,193 @@ def test_artificial_leaves_on_negative_pivot():
     assert tab.det > 0 and tab.basis == [1, 0]
     assert lp_maximize(rows, rhs, [1, 1]) == (2, (0, 2))
     assert lp_maximize(rows, rhs, [Fraction(-1, 3), Fraction(1, 2)]) == (1, (0, 2))
+
+
+class _IdentityTableau:
+    """Reference tableau ``[A | I | b]`` that stores the artificial columns.
+
+    Bland's rule may let an artificial re-enter here.  Test-local: the
+    library's tableau stores ``[A | b]`` only.
+
+    Each row holds ``det`` times a row of the rational tableau, with its
+    right-hand side in the last slot, index ``width``.  Reduced-cost rows
+    have the same layout and hold the negated objective value there.
+    """
+
+    def __init__(self, rows: Sequence[Sequence], rhs: Sequence):
+        self.m = len(rows)
+        self.n = len(rows[0]) if self.m else 0
+        self.width = self.n + self.m
+        self.det = 1
+        den = lcm(
+            *{x.denominator for row in rows for x in row}, *{x.denominator for x in rhs}
+        )
+        self.rows: list[list[int]] = []
+        for i in range(self.m):
+            row = _scaled(rows[i], den)
+            b = rhs[i].numerator * (den // rhs[i].denominator)
+            if b < 0:
+                row = [-x for x in row]
+                b = -b
+            row.extend(1 if j == i else 0 for j in range(self.m))
+            row.append(b)
+            self.rows.append(row)
+        self.basis = [self.n + i for i in range(self.m)]
+
+    def pivot(self, pivot_row: int, entering: int, cost: Optional[list[int]] = None):
+        """Pivot every row, and ``cost`` if given; returns the updated cost row."""
+        prow = self.rows[pivot_row]
+        det = self.det
+        for i in range(self.m):
+            if i != pivot_row:
+                self.rows[i] = _eliminate(self.rows[i], prow, entering, det)
+        if cost is not None:
+            cost = _eliminate(cost, prow, entering, det)
+        self.basis[pivot_row] = entering
+        self.det = prow[entering]
+        return cost
+
+    def minimize(self, cost: list[int], stop_when_negative: bool = False):
+        """Run Bland pivots until the reduced costs are nonnegative.
+
+        ``cost`` is the reduced-cost row; the updated row is returned.
+        With ``stop_when_negative`` the loop exits as soon as the
+        objective drops below zero (the caller only needs the sign).
+        """
+        m = self.m
+        w = self.width
+        rows = self.rows
+        while True:
+            if stop_when_negative and cost[w] > 0:
+                return cost
+            entering = next((j for j in range(w) if cost[j] < 0), None)
+            if entering is None:
+                return cost
+            pivot_row = None
+            for i in range(m):
+                coef = rows[i][entering]
+                if coef > 0:
+                    if pivot_row is None:
+                        pivot_row, num, den = i, rows[i][w], coef
+                        continue
+                    # rows[i][w] / coef against num / den, all positive denominators
+                    lhs = rows[i][w] * den
+                    rhs = num * coef
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[pivot_row]):
+                        pivot_row, num, den = i, rows[i][w], coef
+            if pivot_row is None:
+                raise ArithmeticError("simplex objective unbounded below")
+            cost = self.pivot(pivot_row, entering, cost)
+
+    def run_phase1(self) -> bool:
+        """Minimize the artificial sum; whether it reaches zero."""
+        cost = [-sum(row[j] for row in self.rows) for j in range(self.n)]
+        cost.extend(0 for _ in range(self.m))
+        cost.append(-sum(row[self.width] for row in self.rows))
+        return self.minimize(cost)[self.width] == 0
+
+    def drop_artificials(self) -> None:
+        """Drive basic artificials out, deleting dependent rows, then their columns."""
+        keep = []
+        for i in range(self.m):
+            if self.basis[i] < self.n:
+                keep.append(i)
+                continue
+            entering = next((j for j in range(self.n) if self.rows[i][j] != 0), None)
+            if entering is not None:
+                self.pivot(i, entering)
+                if self.det < 0:
+                    self.rows = [[-x for x in row] for row in self.rows]
+                    self.det = -self.det
+                keep.append(i)
+        self.rows = [self.rows[i][: self.n] + self.rows[i][-1:] for i in keep]
+        self.basis = [self.basis[i] for i in keep]
+        self.m = len(keep)
+        self.width = self.n
+
+    def solution(self) -> tuple[Fraction, ...]:
+        witness = [Fraction(0)] * self.n
+        for i, j in enumerate(self.basis):
+            if j < self.n:
+                witness[j] = Fraction(self.rows[i][self.width], self.det)
+        return tuple(witness)
+
+
+def _identity_solve(rows, rhs, objective=None, stop_when_positive=False):
+    """``lp_feasible`` without ``objective``, else ``lp_maximize``, on the reference."""
+    tab = _IdentityTableau(rows, rhs)
+    if not tab.run_phase1():
+        return None
+    if objective is None:
+        return tab.solution()
+    tab.drop_artificials()
+    den = lcm(*{c.denominator for c in objective})
+    cost = [-c for c in _scaled(objective, den)]
+    reduced = [tab.det * c for c in cost] + [0]
+    for i, j in enumerate(tab.basis):
+        if cost[j]:
+            reduced = [a - cost[j] * b for a, b in zip(reduced, tab.rows[i])]
+    reduced = tab.minimize(reduced, stop_when_negative=stop_when_positive)
+    return Fraction(reduced[tab.width], tab.det * den), tab.solution()
+
+
+def _hull_shaped_system(rng):
+    """Adjacency-style system: up to 7 coordinate rows with entries 0-4 over
+    up to 16 points, a row of ones, a target that is mostly the midpoint
+    of a pair, and the objective that weighs every point off the pair."""
+    dim, n = rng.randint(1, 7), rng.randint(2, 16)
+    points = [[rng.randint(0, 4) for _ in range(dim)] for _ in range(n)]
+    i, j = rng.sample(range(n), 2)
+    if rng.random() < 0.85:
+        target = [Fraction(a + b, 2) for a, b in zip(points[i], points[j])]
+    else:
+        target = [Fraction(rng.randint(0, 8), 2) for _ in range(dim)]
+    rows = [[Fraction(p[k]) for p in points] for k in range(dim)]
+    rows.append([Fraction(1)] * n)
+    objective = [Fraction(0 if k in (i, j) else 1) for k in range(n)]
+    return rows, target + [Fraction(1)], objective
+
+
+def _maximum(solve, stop_when_positive):
+    """What a maximization says (None, "unbounded", "positive" or the
+    value), and its ``(value, witness)`` when it returns one."""
+    try:
+        result = solve()
+    except ArithmeticError:
+        return ("positive" if stop_when_positive else "unbounded"), None
+    if result is None:
+        return None, None
+    value, _ = result
+    return ("positive" if stop_when_positive and value > 0 else value), result
+
+
+def test_markers_only_tableau_matches_identity_tableau(monkeypatch):
+    reentries = []
+    pivot = _IdentityTableau.pivot
+
+    def counting_pivot(self, pivot_row, entering, cost=None):
+        if entering >= self.n:
+            reentries.append(entering)
+        return pivot(self, pivot_row, entering, cost)
+
+    monkeypatch.setattr(_IdentityTableau, "pivot", counting_pivot)
+    rng = random.Random(1983)
+    systems = [_random_system(rng) for _ in range(300)]
+    systems += [_hull_shaped_system(rng) for _ in range(400)]
+    for rows, rhs, objective in systems:
+        witness = lp_feasible(rows, rhs)
+        assert (witness is None) == (_identity_solve(rows, rhs) is None)
+        if witness is not None:
+            _assert_witness(rows, rhs, witness)
+        for stop in (False, True):
+            said, result = _maximum(
+                lambda: lp_maximize(rows, rhs, objective, stop_when_positive=stop), stop
+            )
+            assert said == _maximum(
+                lambda: _identity_solve(rows, rhs, objective, stop), stop
+            )[0]
+            if result is not None:
+                value, witness = result
+                _assert_witness(rows, rhs, witness)
+                assert _dot(objective, witness) == value
+    assert reentries
