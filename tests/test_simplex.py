@@ -477,7 +477,7 @@ def _maximum(solve, stop_when_positive):
     try:
         result = solve()
     except ArithmeticError:
-        return ("positive" if stop_when_positive else "unbounded"), None
+        return "unbounded", None
     if result is None:
         return None, None
     value, _ = result

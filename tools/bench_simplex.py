@@ -8,8 +8,7 @@ Each timed pass reports microseconds per LP for phase 1 (building the
 tableau and minimizing the artificial sum), for driving artificials
 out, and for phase 2 (everything else in ``lp_maximize``).  Pivots per
 LP and phase are counted in a separate, untimed pass.  The script also
-times ``skeleton_graph(build(7))`` (median and best of the repeats) and,
-with ``--tier1``, the repository's test suite.
+times ``skeleton_graph(build(7))`` (median and best of ``REPEATS`` runs).
 
 It reads only names the library has long had (``lp_maximize`` and the
 ``_Tableau`` methods ``__init__``, ``run_phase1``, ``drop_artificials``
@@ -17,7 +16,7 @@ and ``pivot``), so a copy placed in an older checkout measures that
 checkout:
 
     python3 tools/bench_simplex.py                      # BENCH_simplex.json
-    python3 tools/bench_simplex.py --repeats 3 --tier1 --out BENCH_simplex.json
+    python3 tools/bench_simplex.py --out other.json
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import os
 import platform
 import random
 import statistics
-import subprocess
 import sys
 import time
 from contextlib import contextmanager
@@ -48,6 +46,7 @@ from halfint.sparse_cut import build  # noqa: E402
 SEED = 20240611
 SUBSETS = 12
 FACES = 6
+REPEATS = 5
 
 
 def point_sets() -> list[PointSet]:
@@ -154,37 +153,22 @@ def counted_pass(corpus) -> tuple[dict[str, int], str]:
     return counts, digest.hexdigest()
 
 
-def tier1_seconds() -> dict:
-    """Wall time of the test suite, run the way ROADMAP.md states it."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    start = time.perf_counter()
-    done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"],
-        cwd=ROOT, env=env, capture_output=True, text=True)
-    lines = done.stdout.strip().splitlines()
-    return {"wall_s": round(time.perf_counter() - start, 2),
-            "summary": lines[-1] if lines else ""}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(ROOT / "BENCH_simplex.json"))
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--tier1", action="store_true", help="also time the test suite")
     args = parser.parse_args(argv)
 
     corpus = record_corpus()
     lps = len(corpus)
     counts, digest = counted_pass(corpus)
-    passes = [timed_pass(corpus) for _ in range(args.repeats)]
+    passes = [timed_pass(corpus) for _ in range(REPEATS)]
 
     def per_lp_us(key):
         return round(1e6 * statistics.median(p[key] for p in passes) / lps, 1)
 
     p7 = build(7).vertices
     full_s = []
-    for _ in range(args.repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         graph = skeleton_graph(p7)
         full_s.append(time.perf_counter() - start)
@@ -206,7 +190,7 @@ def main(argv=None) -> int:
             "values_sha256": digest,
         },
         "lp": {
-            "repeats": args.repeats,
+            "repeats": REPEATS,
             "us_per_lp": {key: per_lp_us(key)
                           for key in ("phase1", "drop_artificials", "phase2", "total")},
             "pivots_per_lp": {key: round(counts[key] / lps, 3)
@@ -216,8 +200,6 @@ def main(argv=None) -> int:
         "skeleton_d7": {"wall_s": round(statistics.median(full_s), 2),
                         "wall_s_min": round(min(full_s), 2), "edges": len(graph.edges)},
     }
-    if args.tier1:
-        result["tier1"] = tier1_seconds()
     text = json.dumps(result, indent=2, sort_keys=True) + "\n"
     Path(args.out).write_text(text)
     sys.stdout.write(text)
