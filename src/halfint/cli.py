@@ -4,7 +4,10 @@ Four subcommands cover the polytope family, zonotope recognition, flow
 congestion, and raw graph utilities.  Output is deterministic byte for
 byte: JSON keys are sorted, lists are sorted by construction, and all
 numbers are exact rational strings (``--approx`` adds a decimal
-rendering next to them for human readers).
+rendering next to them for human readers).  A routing embedded with
+``flow --routing`` is written straight from its index paths, each label
+encoded once; the text and ``--approx`` renderings read its nested-dict
+form.
 
 Each request takes one path: parse, refuse, compute, emit once.  Only
 the three reports that carry a graph (sparsecut skeleton, zono
@@ -141,13 +144,45 @@ def _dumps(value, indent: str = "\n") -> str:
             _string(v) if type(v) is str else _dumps(v, inner) for v in value
         ])
         return "".join(("[", inner, body, indent, "]"))
+    if isinstance(value, Routing):
+        return _routing_json(value, indent)
     raise TypeError("cannot render %s as JSON" % type(value).__name__)
+
+
+def _routing_json(routing: Routing, indent: str) -> str:
+    """``_dumps(routing.to_json(), indent)``, written from the index paths:
+    each label is encoded once, each path and each demand is one join."""
+    i1, i2, i3, i4, i5, i6 = (indent + "  " * k for k in range(1, 7))
+    labels = [_string(x) for x in routing.graph.labels]
+    step, next_path, next_demand = "," + i6, "," + i4, "," + i2
+    path_open, path_mid = '{%s"vertices": [%s' % (i5, i6), '%s],%s"weight": "' % (i5, i5)
+    path_close = '"%s}' % i4  # a weight's "p/q" text needs no escapes
+    demand_open = '{%s"paths": [%s' % (i3, i4)
+    demand_mid, demand_close = '%s],%s"source": ' % (i3, i3), "%s}" % i2
+    target = ',%s"target": ' % i3
+
+    def path_json(path, weight):
+        vertices = step.join([labels[v] for v in path])
+        return "".join((path_open, vertices, path_mid, str(weight), path_close))
+
+    demands = next_demand.join([
+        "".join((demand_open, next_path.join([path_json(*e) for e in entries]),
+                 demand_mid, labels[s], target, labels[t], demand_close))
+        for (s, t), entries in sorted(routing.paths.items())
+    ])
+    opened = ("[", i2, demands, i1, "]") if demands else ("[]",)
+    return "".join(("{", i1, '"demands": ', *opened, ",", i1, '"graph": ',
+                    _dumps(routing.graph.to_json(), i1), indent, "}"))
 
 
 def _emit(args, payload: dict, graph: Optional[Graph]) -> None:
     # JSON ends in a newline written on its own: appending it to a
     # multi-megabyte body would copy the body once more.
     end = ""
+    routing = payload.get("routing")
+    if isinstance(routing, Routing) and (args.format == "text" or args.approx):
+        # text and --approx read the routing as nested dicts
+        payload = dict(payload, routing=routing.to_json())
     if args.format == "dot":
         text = graph.to_dot()
     elif args.format == "text":
@@ -181,9 +216,13 @@ def _load_json(path: Optional[str]):
 
 def _load(path: Optional[str], parse, what: str):
     data = _load_json(path)
+    if not isinstance(data, dict):
+        raise UsageError("malformed %s input: the input is not a JSON object" % what)
     try:
         return parse(data)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except KeyError as exc:
+        raise UsageError("malformed %s input: missing key %s" % (what, exc))
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError("malformed %s input: %s" % (what, exc))
 
 
@@ -289,7 +328,7 @@ def _cmd_flow(args) -> Report:
         expansion_lower_bound=str(expansion_lower_bound(report)),
     )
     if args.routing:
-        payload["routing"] = routing.to_json()
+        payload["routing"] = routing
     return payload, None
 
 

@@ -10,7 +10,11 @@ separated by the cut is at least |S| (n - |S|) >= |S| n / 2.
 
 Validation and arc flows are tallied in integers over one common
 denominator, the least common multiple of the weight denominators; only
-the reported per-arc flows are turned back into fractions.
+the reported per-arc flows are turned back into fractions.  A valid
+routing is confirmed in one walk over its demands, in any order, and one
+set test on the arcs of all its paths; the demands' completeness is read
+from their count and index ranges.  Only an invalid routing is walked
+again, in sorted demand order, to name its first violation.
 
 The concrete routings here are the hypercube bit-fixing scheme, its
 rerouted variant on the hypercube minus two antipodal vertices (the
@@ -23,7 +27,7 @@ one-vertex path.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -43,6 +47,8 @@ class Routing:
     paths: dict[tuple[int, int], list[WeightedPath]]
 
     def to_json(self) -> dict:
+        """Nested-dict form, read by the CLI's text and ``--approx``
+        renderings; its JSON report writes the index paths directly."""
         demands = []
         for (s, t) in sorted(self.paths):
             demands.append(
@@ -61,66 +67,82 @@ class Routing:
         return {"graph": self.graph.to_json(), "demands": demands}
 
 
-def _common_denominator(routing: Routing) -> int:
-    """Least common multiple of the path weights' denominators."""
-    return lcm(*{w.denominator for entries in routing.paths.values() for _, w in entries})
+def _violation(
+    s: int, t: int, entries: list[WeightedPath], scale: int, arcs: Optional[set] = None
+) -> Optional[str]:
+    """First violation within demand (s, t), in path order; arcs are
+    checked only when a set of them is given."""
+    if not entries:
+        return "demand (%d, %d) has no paths" % (s, t)
+    total = 0
+    for idx, (path, weight) in enumerate(entries):
+        num, den = weight.as_integer_ratio()
+        scaled = num * (scale // den)
+        if scaled <= 0:
+            return "demand (%d, %d) path %d has non-positive weight" % (s, t, idx)
+        total += scaled
+        if len(path) < 2 or path[0] != s or path[-1] != t:
+            return "demand (%d, %d) path %d has wrong endpoints" % (s, t, idx)
+        if len(set(path)) != len(path):
+            return "demand (%d, %d) path %d repeats a vertex" % (s, t, idx)
+        if arcs is not None and not arcs.issuperset(zip(path, path[1:])):
+            a, b = next(arc for arc in zip(path, path[1:]) if arc not in arcs)
+            return "demand (%d, %d) path %d uses a non-edge (%d, %d)" % (
+                s, t, idx, a, b
+            )
+    if total != scale:
+        return "demand (%d, %d) weights sum to %s, not 1" % (
+            s, t, Fraction(total, scale)
+        )
+    return None
 
 
 def validate(routing: Routing) -> Optional[str]:
-    """First violation of the routing contract, or None when valid."""
+    """First violation of the routing contract, in sorted demand order,
+    or None when valid."""
     g = routing.graph
     n = g.n
-    expected = {(s, t) for s in range(n) for t in range(n) if s != t}
-    given = set(routing.paths.keys())
-    missing = sorted(expected - given)
-    if missing:
-        return "missing demand (%d, %d)" % missing[0]
-    extra = sorted(given - expected)
-    if extra:
-        return "unexpected demand (%d, %d)" % extra[0]
-    scale = _common_denominator(routing)
+    paths = routing.paths
+    # the demands are distinct pairs: n (n - 1) of them in range are all of them
+    vertices = range(n)
+    if len(paths) != n * (n - 1) or not all(
+        s in vertices and t in vertices and s != t for s, t in paths
+    ):
+        expected = {(s, t) for s in range(n) for t in range(n) if s != t}
+        missing = expected - paths.keys()
+        if missing:
+            return "missing demand (%d, %d)" % min(missing)
+        return "unexpected demand (%d, %d)" % min(paths.keys() - expected)
+    scale = lcm(*{w.denominator for entries in paths.values() for _, w in entries})
     arcs = set(g.edges)
     arcs.update([(b, a) for a, b in g.edges])
-    for (s, t) in sorted(routing.paths):
-        entries = routing.paths[(s, t)]
-        if not entries:
-            return "demand (%d, %d) has no paths" % (s, t)
-        total = 0
-        for idx, (path, weight) in enumerate(entries):
-            scaled = weight.numerator * (scale // weight.denominator)
-            if scaled <= 0:
-                return "demand (%d, %d) path %d has non-positive weight" % (s, t, idx)
-            total += scaled
-            if len(path) < 2 or path[0] != s or path[-1] != t:
-                return "demand (%d, %d) path %d has wrong endpoints" % (s, t, idx)
-            if len(set(path)) != len(path):
-                return "demand (%d, %d) path %d repeats a vertex" % (s, t, idx)
-            if not arcs.issuperset(zip(path, path[1:])):
-                a, b = next(arc for arc in zip(path, path[1:]) if arc not in arcs)
-                return "demand (%d, %d) path %d uses a non-edge (%d, %d)" % (
-                    s, t, idx, a, b
-                )
-        if total != scale:
-            return "demand (%d, %d) weights sum to %s, not 1" % (
-                s, t, Fraction(total, scale)
-            )
-    return None
+    steps = chain.from_iterable(
+        zip(p, p[1:]) for entries in paths.values() for p, _ in entries
+    )
+    if arcs.issuperset(steps) and not any(
+        _violation(s, t, entries, scale) for (s, t), entries in paths.items()
+    ):
+        return None
+    for (s, t) in sorted(paths):
+        problem = _violation(s, t, paths[(s, t)], scale, arcs)
+        if problem is not None:
+            return problem
 
 
 def arc_flows(routing: Routing) -> dict[tuple[int, int], Fraction]:
     """Total flow on each directed arc (unvalidated accumulation).
 
-    Paths are grouped by weight in units of 1/scale, and each group's
-    arc steps are counted at once.
+    Paths are grouped by weight, and each group's arc steps are counted
+    at once; the common denominator is taken over the distinct weights.
     """
-    scale = _common_denominator(routing)
-    groups: dict[int, list[Path]] = {}
+    groups: dict[tuple[int, int], list[Path]] = defaultdict(list)
     for entries in routing.paths.values():
         for path, weight in entries:
-            scaled = weight.numerator * (scale // weight.denominator)
-            groups.setdefault(scaled, []).append(path)
+            groups[weight.as_integer_ratio()].append(path)
+    scale = lcm(*(den for _, den in groups))
     tally: dict[tuple[int, int], int] = {}
-    for scaled, paths in groups.items():
+    for (num, den), paths in groups.items():
+        scaled = num * (scale // den)
         counts = Counter(chain.from_iterable(zip(p, p[1:]) for p in paths))
         for arc, count in counts.items():
             tally[arc] = tally.get(arc, 0) + count * scaled

@@ -374,6 +374,49 @@ def test_graph_rejects_edges_that_are_not_a_list(capsys, tmp_path, edges):
     assert "malformed graph input" in err and "not a list of index pairs" in err
 
 
+_READERS = [
+    ("graph", ("graph", "--action", "expansion")),
+    ("graph", ("zono", "--action", "realize")),
+    ("generator", ("zono", "--action", "check")),
+    ("generator", ("zono", "--action", "recognize")),
+]
+
+
+@pytest.mark.parametrize("what, command", _READERS, ids=[
+    "graph-expansion", "zono-realize", "zono-check", "zono-recognize"])
+@pytest.mark.parametrize("data", [[1, 2], "abc", None, 3, True])
+def test_input_that_is_not_a_json_object(capsys, tmp_path, what, command, data):
+    path = write_json(tmp_path, "in.json", data)
+    code, out, err = run(capsys, *command, "--in", path)
+    assert code == 2 and out == ""
+    assert err == "error: malformed %s input: the input is not a JSON object\n" % what
+
+
+@pytest.mark.parametrize(
+    "command, data, message",
+    [
+        (("graph", "--action", "expansion"), {"edges": []}, "graph input: missing key 'labels'"),
+        (("zono", "--action", "realize"), {"labels": ["a"]}, "graph input: missing key 'edges'"),
+        (("zono", "--action", "check"), {"generators": [["1"]]},
+         "generator input: missing key 'dim'"),
+        (("zono", "--action", "vertices"), {"dim": 1}, "generator input: missing key 'generators'"),
+    ],
+)
+def test_input_missing_a_key(capsys, tmp_path, command, data, message):
+    path = write_json(tmp_path, "in.json", data)
+    code, out, err = run(capsys, *command, "--in", path)
+    assert code == 2 and out == ""
+    assert err == "error: malformed %s\n" % message
+
+
+def test_graph_product_rejects_a_second_input_that_is_not_an_object(capsys, tmp_path):
+    a = write_json(tmp_path, "a.json", make_graph(["a0", "a1"], [(0, 1)]).to_json())
+    b = write_json(tmp_path, "b.json", ["a0", "a1"])
+    code, out, err = run(capsys, "graph", "--action", "product", "--in", a, "--in2", b)
+    assert code == 2 and out == ""
+    assert err == "error: malformed graph input: the input is not a JSON object\n"
+
+
 def test_graph_product_dot(capsys, tmp_path):
     a = write_json(tmp_path, "a.json", make_graph(["a0", "a1"], [(0, 1)]).to_json())
     b = write_json(tmp_path, "b.json", make_graph(["b0", "b1"], [(0, 1)]).to_json())

@@ -1,5 +1,6 @@
 """The CLI's JSON writer matches ``json.dumps(..., sort_keys=True, indent=2)``
-byte for byte, on arbitrary values and on full ``flow --routing`` reports."""
+byte for byte, on arbitrary values and on full ``flow --routing`` reports,
+and a routing written from its index paths matches its nested-dict form."""
 
 import json
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfint.cli import _dumps, main
+from halfint.cli import _approx_map, _dumps, _render_text, build_parser, main
 
 # Quotes, backslashes, control characters and non-ASCII text all take
 # escapes in ASCII-only JSON.
@@ -56,3 +57,41 @@ def test_flow_routing_report_bytes(capsys, argv):
     out = capsys.readouterr().out
     payload = json.loads(out)
     assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _reference_flow_report(argv):
+    """The ``flow`` report as written before routings were rendered from
+    their index paths: the routing goes in as ``Routing.to_json()``."""
+    args = build_parser().parse_args(["flow", *argv])
+    payload, _ = args.func(args)
+    payload = dict(payload, routing=payload["routing"].to_json())
+    if args.format == "text":
+        return _render_text(payload, args.approx)
+    approx = _approx_map(payload) if args.approx else None
+    if approx:
+        payload = dict(payload, approx=approx)
+    return _dumps(payload) + "\n"
+
+
+_ROUTED = (
+    [("--family", "cube", "--d", str(d)) for d in range(1, 7)]
+    + [("--family", "punctured", "--d", str(d)) for d in range(3, 8)]
+    + [("--family", "hexagon")]
+    + [("--family", "product", "--factors", factors)
+       for factors in ("cube:1,hexagon", "hexagon,cube:2", "cube:1,punctured:4",
+                       "hexagon,hexagon")]
+    + [("--family", "hexagon", "--approx"),
+       ("--family", "hexagon", "--format", "text", "--approx")]
+)
+
+
+@pytest.mark.parametrize("argv", _ROUTED, ids=" ".join)
+def test_routing_writer_matches_nested_dict_reference(capsys, tmp_path, argv):
+    argv = (*argv, "--routing")
+    expected = _reference_flow_report(argv)
+    assert main(["flow", *argv]) == 0
+    assert capsys.readouterr().out == expected
+    target = tmp_path / "report.json"
+    assert main(["flow", *argv, "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_text() == expected

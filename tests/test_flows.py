@@ -413,8 +413,8 @@ def _mutate(routing, rng):
 
 def test_flows_match_fraction_reference_on_mutations():
     bases = [bitfix_routing(1), bitfix_routing(2), bitfix_routing(3),
-             punctured_routing(3), punctured_routing(4), hexagon_routing(),
-             product_routing(bitfix_routing(1), hexagon_routing())]
+             punctured_routing(3), punctured_routing(4), punctured_routing(5),
+             hexagon_routing(), product_routing(bitfix_routing(1), hexagon_routing())]
     rng = random.Random(20240607)
     seen = set()
     for round_ in range(600):
@@ -426,6 +426,27 @@ def test_flows_match_fraction_reference_on_mutations():
         seen.update(name for name, text in _MESSAGES.items() if text in (problem or ""))
         seen.add("valid" if problem is None else "invalid")
     assert seen == set(_MESSAGES) | {"valid", "invalid"}
+
+
+@pytest.mark.parametrize(
+    "later, earlier, message",
+    [
+        # 101 -> 000 flips two bits; the walk in insertion order meets it first
+        ([((5, 0, 4), Fraction(1))], [((1, 3, 2), Fraction(1, 2))],
+         "demand (1, 2) weights sum to 1/2, not 1"),
+        # the reverse: a bad sum first, an off-graph arc (001 -> 111) in (1, 2)
+        ([((5, 4), Fraction(1, 2))], [((1, 7, 2), Fraction(1))],
+         "demand (1, 2) path 0 uses a non-edge (1, 7)"),
+    ],
+    ids=["arc-inserted-first", "sum-inserted-first"],
+)
+def test_validate_names_the_first_violation_in_sorted_order(later, earlier, message):
+    r = bitfix_routing(3)
+    paths = {(5, 4): later, (1, 2): earlier}
+    paths.update((key, entries) for key, entries in r.paths.items() if key not in paths)
+    routing = Routing(r.graph, paths)
+    assert validate(routing) == message
+    _assert_matches_reference(routing)
 
 
 def test_mixed_denominators():
