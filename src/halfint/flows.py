@@ -43,28 +43,12 @@ WeightedPath = tuple[Path, Fraction]
 
 @dataclass(frozen=True)
 class Routing:
+    """``paths[(s, t)]`` lists the (vertex-index path, weight) pairs of
+    demand s -> t, for every ordered pair of distinct vertices of a valid
+    routing.  Its JSON form is written by the CLI (``cli._routing_json``)."""
+
     graph: Graph
     paths: dict[tuple[int, int], list[WeightedPath]]
-
-    def to_json(self) -> dict:
-        """Nested-dict form, read by the CLI's text and ``--approx``
-        renderings; its JSON report writes the index paths directly."""
-        demands = []
-        for (s, t) in sorted(self.paths):
-            demands.append(
-                {
-                    "source": self.graph.labels[s],
-                    "target": self.graph.labels[t],
-                    "paths": [
-                        {
-                            "vertices": [self.graph.labels[v] for v in path],
-                            "weight": str(weight),
-                        }
-                        for path, weight in self.paths[(s, t)]
-                    ],
-                }
-            )
-        return {"graph": self.graph.to_json(), "demands": demands}
 
 
 def _violation(

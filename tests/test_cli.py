@@ -6,8 +6,14 @@ import re
 
 import pytest
 
-from halfint.cli import _GRAPH_REPORTS, build_parser, main
-from halfint.graphs import MAX_EXPANSION_VERTICES, cycle_graph, hypercube, make_graph
+from halfint.cli import _GRAPH_REPORTS, PRODUCT_MAX_VERTICES, build_parser, main
+from halfint.graphs import (
+    MAX_EXPANSION_VERTICES,
+    cycle_graph,
+    hypercube,
+    make_graph,
+    path_graph,
+)
 
 HEX_GENS = {
     "dim": 3,
@@ -415,6 +421,15 @@ def test_graph_product_rejects_a_second_input_that_is_not_an_object(capsys, tmp_
     code, out, err = run(capsys, "graph", "--action", "product", "--in", a, "--in2", b)
     assert code == 2 and out == ""
     assert err == "error: malformed graph input: the input is not a JSON object\n"
+
+
+def test_graph_product_size_guard(capsys, tmp_path, monkeypatch):
+    forbid(monkeypatch, "cartesian_product")
+    path = write_json(tmp_path, "p257.json", path_graph(257).to_json())
+    assert 257 * 257 > PRODUCT_MAX_VERTICES == 2**16
+    code, out, err = run(capsys, "graph", "--action", "product", "--in", path, "--in2", path)
+    assert code == 2 and out == ""
+    assert err == "error: graph products are limited to 65536 vertices\n"
 
 
 def test_graph_product_dot(capsys, tmp_path):

@@ -1,6 +1,7 @@
-"""The CLI's JSON writer matches ``json.dumps(..., sort_keys=True, indent=2)``
-byte for byte, on arbitrary values and on full ``flow --routing`` reports,
-and a routing written from its index paths matches its nested-dict form."""
+"""The CLI's JSON writer matches ``json.dumps(..., sort_keys=True)``, compact
+and with ``indent=2``, byte for byte, on arbitrary values and on full
+``flow --routing`` reports, and a routing written from its index paths
+matches its nested-dict form in JSON, text and ``--approx`` reports."""
 
 import json
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfint.cli import _approx_map, _dumps, _render_text, build_parser, main
+from halfint.cli import _RATIONAL, _approx, _approx_map, _dumps, build_parser, main
 
 # Quotes, backslashes, control characters and non-ASCII text all take
 # escapes in ASCII-only JSON.
@@ -31,7 +32,13 @@ json_values = st.recursive(
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(value=texts | json_values)
 def test_dumps_matches_stdlib_indent_2(value):
-    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+    assert _dumps(value, "\n") == json.dumps(value, sort_keys=True, indent=2)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(value=json_values)
+def test_dumps_compact_matches_stdlib(value):
+    assert _dumps(value, None) == json.dumps(value, sort_keys=True)
 
 
 def test_dumps_rejects_values_it_does_not_render():
@@ -59,18 +66,40 @@ def test_flow_routing_report_bytes(capsys, argv):
     assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _nested_routing(routing):
+    """A routing as nested dicts, the form the reports wrote it in before
+    they were rendered from index paths."""
+    labels = routing.graph.labels
+    demands = [
+        {"source": labels[s], "target": labels[t],
+         "paths": [{"vertices": [labels[v] for v in path], "weight": str(weight)}
+                   for path, weight in routing.paths[(s, t)]]}
+        for (s, t) in sorted(routing.paths)
+    ]
+    return {"graph": routing.graph.to_json(), "demands": demands}
+
+
 def _reference_flow_report(argv):
-    """The ``flow`` report as written before routings were rendered from
-    their index paths: the routing goes in as ``Routing.to_json()``."""
+    """The ``flow`` report with its routing as nested dicts, encoded by the
+    stdlib: JSON at indent 2, or text lines with compact JSON values."""
     args = build_parser().parse_args(["flow", *argv])
     payload, _ = args.func(args)
-    payload = dict(payload, routing=payload["routing"].to_json())
+    payload = dict(payload, routing=_nested_routing(payload["routing"]))
     if args.format == "text":
-        return _render_text(payload, args.approx)
+        lines = []
+        for key, value in sorted(payload.items()):
+            if isinstance(value, (dict, list)):
+                rendered = json.dumps(value, sort_keys=True)
+            else:
+                rendered = str(value)
+            if args.approx and isinstance(value, str) and _RATIONAL.match(value):
+                rendered += " (~%s)" % _approx(value)
+            lines.append("%s: %s" % (key, rendered))
+        return "\n".join(lines) + "\n"
     approx = _approx_map(payload) if args.approx else None
     if approx:
         payload = dict(payload, approx=approx)
-    return _dumps(payload) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 _ROUTED = (
@@ -82,6 +111,10 @@ _ROUTED = (
                        "hexagon,hexagon")]
     + [("--family", "hexagon", "--approx"),
        ("--family", "hexagon", "--format", "text", "--approx")]
+    + [("--format", "text", *family) for family in (
+        ("--family", "cube", "--d", "3"), ("--family", "punctured", "--d", "5"),
+        ("--family", "product", "--factors", "cube:1,hexagon"))]
+    + [("--family", "product", "--factors", "hexagon,cube:2", "--approx")]
 )
 
 

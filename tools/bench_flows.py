@@ -7,7 +7,9 @@ runs, of:
 - building the routing;
 - ``validate`` and ``arc_flows`` on it;
 - the whole ``flow`` request through ``cli.main`` into a buffer, without
-  and with ``--routing``; the difference is the ``--routing`` render.
+  and with ``--routing``, in each of three formats: JSON, ``--format
+  text`` and ``--approx``; the difference is that format's ``--routing``
+  render.
 
 A sha256 of each ``--routing`` report pins its bytes, so the figures of
 two checkouts compare the same output.
@@ -52,6 +54,7 @@ from halfint.flows import (  # noqa: E402
 )
 
 REPEATS = 7
+FORMATS = {"json": [], "text": ["--format", "text"], "approx": ["--approx"]}
 CASES = {
     "punctured:7": ["--family", "punctured", "--d", "7"],
     "cube:6": ["--family", "cube", "--d", "6"],
@@ -96,20 +99,25 @@ def measure(name: str, argv) -> dict:
     routing = build(name)
     if validate(routing) is not None:
         raise SystemExit("%s: invalid routing" % name)
-    report = request([*argv, "--routing"])
     seconds = {
         "build": median_s(lambda: build(name)),
         "validate": median_s(lambda: validate(routing)),
         "arc_flows": median_s(lambda: arc_flows(routing)),
-        "request": median_s(lambda: request(argv)),
-        "request_routing": median_s(lambda: request([*argv, "--routing"])),
     }
-    seconds["render"] = seconds["request_routing"] - seconds["request"]
+    reports = {}
+    for fmt, extra in FORMATS.items():
+        plain, routed = [*argv, *extra], [*argv, *extra, "--routing"]
+        report = request(routed).encode()
+        reports[fmt] = {"bytes": len(report), "sha256": hashlib.sha256(report).hexdigest()}
+        seconds["request_" + fmt] = median_s(lambda: request(plain))
+        seconds["request_routing_" + fmt] = median_s(lambda: request(routed))
+        seconds["render_" + fmt] = (
+            seconds["request_routing_" + fmt] - seconds["request_" + fmt]
+        )
     return {
         "vertices": routing.graph.n,
         "demands": len(routing.paths),
-        "report_bytes": len(report.encode()),
-        "report_sha256": hashlib.sha256(report.encode()).hexdigest(),
+        "reports": reports,
         "seconds": {key: round(value, 4) for key, value in seconds.items()},
     }
 
