@@ -63,6 +63,9 @@ CLOSED_FORM_MAX_DIMENSION = 4095
 # A product has n1 * n2 vertices; at the cap, two 256-vertex paths give a
 # 5.8 MB report in about 0.5 s and 84 MiB (2 vCPUs, Python 3.11).
 PRODUCT_MAX_VERTICES = 2**16
+# ... and n1 * m2 + n2 * m1 edges: those two paths have 130,560, while two
+# 64-vertex complete graphs, far below the vertex cap, would have 258,048.
+PRODUCT_MAX_EDGES = 2**17
 
 _RATIONAL = re.compile(r"-?\d+/\d+\Z")
 
@@ -360,6 +363,8 @@ def _cmd_graph(args) -> Report:
         raise UsageError(
             "graph products are limited to %d vertices" % PRODUCT_MAX_VERTICES
         )
+    if graph.n * len(other.edges) + other.n * len(graph.edges) > PRODUCT_MAX_EDGES:
+        raise UsageError("graph products are limited to %d edges" % PRODUCT_MAX_EDGES)
     product = cartesian_product(graph, other)
     return product.to_json(), product
 

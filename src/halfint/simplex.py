@@ -21,6 +21,14 @@ so an artificial that leaves never returns.  None has to: a feasible
 point uses structural columns only, so a feasible system keeps its
 phase-1 optimum at zero as columns drop, and Bland's rule terminates
 between the at most ``m`` drops.
+
+A caller that already knows a feasible point can skip phase 1: with
+``start``, ``lp_maximize`` pivots the given columns into the artificial
+basis (a crash basis, Bixby 1992), one pivot per column, and checks
+that the basic solution they reach is feasible with every remaining
+artificial at zero.  A hint that fails the check raises ValueError, so
+it can cost time but never change an answer.  Phase 2 runs from there
+under Bland's rule, which terminates from any feasible basis.
 """
 
 from __future__ import annotations
@@ -107,6 +115,31 @@ class _Tableau:
         cost = [-sum(column) for column in zip(*self.rows)]
         return self.minimize(cost)[self.n] == 0
 
+    def crash(self, columns: Sequence[int]) -> None:
+        """Pivot ``columns`` into rows held by artificials, then check feasibility.
+
+        Raises ValueError when the columns are dependent, or when their
+        basic solution is negative or leaves an artificial nonzero.
+        """
+        n = self.n
+        for j in columns:
+            if not 0 <= j < n:
+                raise ValueError("start column %r is not a column index" % (j,))
+            row = next(
+                (i for i in range(self.m) if self.basis[i] >= n and self.rows[i][j]), None
+            )
+            if row is None:
+                raise ValueError("start columns are linearly dependent")
+            self.pivot(row, j)
+        self.make_det_positive()
+        if any(r[n] < 0 or (b >= n and r[n]) for r, b in zip(self.rows, self.basis)):
+            raise ValueError("start columns carry no feasible basic solution")
+
+    def make_det_positive(self) -> None:
+        if self.det < 0:
+            self.rows = [[-x for x in row] for row in self.rows]
+            self.det = -self.det
+
     def drop_artificials(self) -> None:
         """Pivot each basic artificial out, or delete its row when the row is zero."""
         keep = []
@@ -116,9 +149,7 @@ class _Tableau:
                 if entering is None:
                     continue
                 self.pivot(i, entering)
-                if self.det < 0:
-                    self.rows = [[-x for x in row] for row in self.rows]
-                    self.det = -self.det
+                self.make_det_positive()
             keep.append(i)
         self.rows = [self.rows[i] for i in keep]
         self.basis = [self.basis[i] for i in keep]
@@ -149,6 +180,7 @@ def lp_maximize(
     rhs: Sequence,
     objective: Sequence,
     stop_when_positive: bool = False,
+    start: Optional[Sequence[int]] = None,
 ) -> Optional[tuple[Fraction, tuple[Fraction, ...]]]:
     """Maximize ``objective . x`` over ``{x >= 0 : rows . x = rhs}``.
 
@@ -157,11 +189,19 @@ def lp_maximize(
     of positive value, returning that point (callers that only need the
     sign of the maximum get their certificate early).  Raises
     ArithmeticError when the objective is unbounded.
+
+    ``start`` names linearly independent columns that support a
+    feasible point, which then starts phase 2 in place of phase 1; the
+    system is feasible, so ``None`` is never returned.  Raises
+    ValueError when the columns are dependent or their basic solution
+    is infeasible.
     """
     if not rows:
         raise ValueError("maximization requires at least one constraint")
     tab = _Tableau(rows, rhs)
-    if not tab.run_phase1():
+    if start is not None:
+        tab.crash(start)
+    elif not tab.run_phase1():
         return None
     tab.drop_artificials()
     # Minimize the negated objective, scaled to integers; reduced costs

@@ -87,17 +87,22 @@ def _adjacent(
 
     Decided by maximizing the total representation weight carried by
     the other points: the pair is an edge iff that maximum is zero.
+    The search starts from the midpoint's own representation, weight
+    1/2 on each of the pair, which pruning always keeps: the target
+    meets a coordinate's extreme only where both endpoints do.
     """
     active = prune_candidates(target, points, list(range(len(points))))
-    off = [k for k in active if k != i and k != j]
-    if not off:
+    if len(active) == 2:
         return True
     rows, rhs = hull_system(target, points, active)
     objective = [0 if k == i or k == j else 1 for k in active]
-    result = lp_maximize(rows, rhs, objective, stop_when_positive=True)
-    if result is None:
-        raise AssertionError("midpoint of two hull points must be representable")
-    value, _ = result
+    value, _ = lp_maximize(
+        rows,
+        rhs,
+        objective,
+        stop_when_positive=True,
+        start=(active.index(i), active.index(j)),
+    )
     return value == 0
 
 

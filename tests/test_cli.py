@@ -6,7 +6,13 @@ import re
 
 import pytest
 
-from halfint.cli import _GRAPH_REPORTS, PRODUCT_MAX_VERTICES, build_parser, main
+from halfint.cli import (
+    _GRAPH_REPORTS,
+    PRODUCT_MAX_EDGES,
+    PRODUCT_MAX_VERTICES,
+    build_parser,
+    main,
+)
 from halfint.graphs import (
     MAX_EXPANSION_VERTICES,
     cycle_graph,
@@ -430,6 +436,34 @@ def test_graph_product_size_guard(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "graph", "--action", "product", "--in", path, "--in2", path)
     assert code == 2 and out == ""
     assert err == "error: graph products are limited to 65536 vertices\n"
+
+
+def _complete_graph(n):
+    return make_graph(["k%d" % v for v in range(n)], [(u, v) for v in range(n) for u in range(v)])
+
+
+def test_graph_product_edge_guard(capsys, tmp_path, monkeypatch):
+    forbid(monkeypatch, "cartesian_product")
+    path = write_json(tmp_path, "k64.json", _complete_graph(64).to_json())
+    assert 64 * 64 <= PRODUCT_MAX_VERTICES and 2 * 64 * 2016 > PRODUCT_MAX_EDGES == 2**17
+    code, out, err = run(capsys, "graph", "--action", "product", "--in", path, "--in2", path)
+    assert code == 2 and out == ""
+    assert err == "error: graph products are limited to 131072 edges\n"
+
+
+@pytest.mark.parametrize("a, b", [(path_graph(256), path_graph(256)),
+                                  (_complete_graph(45), _complete_graph(45))],
+                         ids=["paths-256", "complete-45"])
+def test_graph_product_guards_admit_up_to_their_caps(capsys, tmp_path, monkeypatch, a, b):
+    def stop(g, h):
+        raise ValueError("product of %d and %d vertices" % (g.n, h.n))
+
+    monkeypatch.setattr("halfint.cli.cartesian_product", stop)
+    assert a.n * len(b.edges) + b.n * len(a.edges) <= PRODUCT_MAX_EDGES
+    pa = write_json(tmp_path, "a.json", a.to_json())
+    pb = write_json(tmp_path, "b.json", b.to_json())
+    code, _, err = run(capsys, "graph", "--action", "product", "--in", pa, "--in2", pb)
+    assert code == 2 and "error: product of" in err
 
 
 def test_graph_product_dot(capsys, tmp_path):

@@ -514,3 +514,68 @@ def test_markers_only_tableau_matches_identity_tableau(monkeypatch):
                 _assert_witness(rows, rhs, witness)
                 assert _dot(objective, witness) == value
     assert reentries
+
+
+def _pair_system(rng):
+    """Hull system of a random point set, its target the midpoint of the
+    pair returned; the pair's columns carry the weights 1/2, 1/2."""
+    dim, n = rng.randint(1, 7), rng.randint(2, 16)
+    points = [[rng.randint(0, 4) for _ in range(dim)] for _ in range(n)]
+    i, j = rng.sample(range(n), 2)
+    while points[i] == points[j]:
+        points[j] = [rng.randint(0, 4) for _ in range(dim)]
+    target = [Fraction(a + b, 2) for a, b in zip(points[i], points[j])]
+    rows = [[Fraction(p[k]) for p in points] for k in range(dim)]
+    rows.append([Fraction(1)] * n)
+    return rows, target + [Fraction(1)], (i, j)
+
+
+def test_start_at_a_pair_matches_phase1_random():
+    rng = random.Random(1992)
+    edges = set()
+    for _ in range(400):
+        rows, rhs, pair = _pair_system(rng)
+        n = len(rows[0])
+        off_pair = [Fraction(0 if k in pair else 1) for k in range(n)]
+        scattered = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n)]
+        for objective in (off_pair, scattered):
+            for stop in (False, True):
+                started = lp_maximize(rows, rhs, objective, stop, start=pair)
+                cold = lp_maximize(rows, rhs, objective, stop)
+                for value, witness in (started, cold):
+                    _assert_witness(rows, rhs, witness)
+                    assert _dot(objective, witness) == value
+                if stop:
+                    assert (started[0] > 0) == (cold[0] > 0)
+                    if cold[0] <= 0:
+                        assert started[0] == cold[0]
+                else:
+                    assert started[0] == cold[0]
+        edges.add(lp_maximize(rows, rhs, off_pair, start=pair)[0] == 0)
+    assert edges == {True, False}
+
+
+@pytest.mark.parametrize(
+    "start",
+    [(0, 1), (1, 1), (2, 1), (0, 3), (-1, 1)],
+    ids=["equal-columns", "repeated", "zero-column", "out-of-range", "negative-index"],
+)
+def test_start_refuses_dependent_or_invalid_columns(start):
+    # columns 0 and 1 are the same point; column 2 is zero in every row
+    rows = [[2, 2, 0], [1, 1, 0]]
+    with pytest.raises(ValueError):
+        lp_maximize(rows, [2, 1], [1, 0, 0], start=start)
+
+
+@pytest.mark.parametrize("stop", [False, True])
+def test_start_refuses_an_infeasible_basic_solution(stop):
+    # points 0, 2 and 4 on a line, target 1: the midpoint of 0 and 2
+    rows, rhs, objective = [[0, 2, 4], [1, 1, 1]], [1, 1], [0, 0, 1]
+    # 1 = 3/4 * 0 + 1/4 * 4, so the pair (0, 2) is no edge
+    assert lp_maximize(rows, rhs, objective, stop, start=(0, 1))[0] == Fraction(1, 4)
+    # 2a + 4b = 1, a + b = 1 gives b = -1/2
+    with pytest.raises(ValueError, match="no feasible basic solution"):
+        lp_maximize(rows, rhs, objective, stop, start=(1, 2))
+    # x0 = 1 alone leaves the first row's artificial at 1
+    with pytest.raises(ValueError, match="no feasible basic solution"):
+        lp_maximize(rows, rhs, objective, stop, start=(0,))

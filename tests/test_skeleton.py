@@ -1,9 +1,12 @@
 """Hull vertex and adjacency oracles on shapes with known skeletons."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from halfint.simplex import hull_system, lp_maximize
 from halfint.skeleton import (
     PointSet,
     hull_edges,
@@ -11,6 +14,7 @@ from halfint.skeleton import (
     skeleton_graph,
     skeleton_report,
 )
+from halfint.sparse_cut import iter_vertices
 
 H = Fraction(1, 2)
 
@@ -112,3 +116,53 @@ def test_edges_ignore_scaling_by_thirds_and_negative_shift():
     expected = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
     assert hull_edges(PointSet.from_iterable(3, prism)) == expected
     assert hull_edges(PointSet.from_iterable(3, moved)) == expected
+
+
+def _edges_from_phase1(pset):
+    """Edges by one LP per pair over all points, from phase 1 (test-local).
+
+    No pruning, no shared-sum filter and no ``start``: a pair is an
+    edge iff the exact maximum of the weight off the pair is zero.
+    """
+    pts = pset.points
+    edges = []
+    for i, j in combinations(range(len(pts)), 2):
+        target = tuple((a + b) / 2 for a, b in zip(pts[i], pts[j]))
+        rows, rhs = hull_system(target, pts, list(range(len(pts))))
+        objective = [0 if k in (i, j) else 1 for k in range(len(pts))]
+        value, _ = lp_maximize(rows, rhs, objective)
+        if value == 0:
+            edges.append((i, j))
+    return edges
+
+
+def _family_point_sets():
+    """Seeded vertex subsets of P_7 and P_11, and faces of P_7."""
+    rng = random.Random(20260314)
+    p7, p11 = list(iter_vertices(7)), list(iter_vertices(11))
+    sets = [PointSet(7, tuple(rng.sample(p7, rng.randint(8, 14)))) for _ in range(20)]
+    sets += [PointSet(11, tuple(rng.sample(p11, rng.randint(8, 12)))) for _ in range(10)]
+    for _ in range(6):
+        coords = rng.sample(range(7), 3)
+        values = [rng.randint(0, 1) for _ in coords]
+        face = [p for p in p7 if all(p[c] == v for c, v in zip(coords, values))]
+        sets.append(PointSet(7, tuple(face)))
+    return sets
+
+
+def test_edges_started_at_the_midpoint_match_phase1_edges(monkeypatch):
+    starts = []
+
+    def recording(*args, **kwargs):
+        starts.append(kwargs.get("start"))
+        return lp_maximize(*args, **kwargs)
+
+    monkeypatch.setattr("halfint.skeleton.lp_maximize", recording)
+    edge_count = pair_count = 0
+    for pset in _family_point_sets():
+        edges = hull_edges(pset)
+        assert edges == _edges_from_phase1(pset)
+        edge_count += len(edges)
+        pair_count += len(pset) * (len(pset) - 1) // 2
+    assert starts and None not in starts
+    assert 0 < edge_count < pair_count

@@ -4,16 +4,19 @@ Replays a fixed, seeded corpus of the skeleton oracle's adjacency
 systems through ``lp_maximize``: the full d = 3 instance plus seeded
 vertex subsets and three-coordinate faces of the d = 7 instance.  The
 corpus is recorded by running ``skeleton_graph`` on those point sets.
-Each timed pass reports microseconds per LP for phase 1 (building the
-tableau and minimizing the artificial sum), for driving artificials
-out, and for phase 2 (everything else in ``lp_maximize``).  Pivots per
-LP and phase are counted in a separate, untimed pass.  The script also
-times ``skeleton_graph(build(7))`` (median and best of ``REPEATS`` runs).
+Each LP is replayed with the arguments the oracle passed, keywords
+included.  Each timed pass reports microseconds per LP for phase 1
+(building the tableau and finding a feasible basis, by minimizing the
+artificial sum or by crashing in the columns of a ``start`` hint), for
+driving artificials out, and for phase 2 (everything else in
+``lp_maximize``).  Pivots per LP and phase are counted in a separate,
+untimed pass.  The script also times ``skeleton_graph(build(7))``
+(median and best of ``REPEATS`` runs).
 
 It reads only names the library has long had (``lp_maximize`` and the
 ``_Tableau`` methods ``__init__``, ``run_phase1``, ``drop_artificials``
-and ``pivot``), so a copy placed in an older checkout measures that
-checkout:
+and ``pivot``), plus ``_Tableau.crash`` where it exists, so a copy
+placed in an older checkout measures that checkout:
 
     python3 tools/bench_simplex.py                      # BENCH_simplex.json
     python3 tools/bench_simplex.py --out other.json
@@ -47,6 +50,8 @@ SEED = 20240611
 SUBSETS = 12
 FACES = 6
 REPEATS = 5
+# The _Tableau methods that find a feasible basis, in this checkout.
+PHASE1 = [name for name in ("run_phase1", "crash") if hasattr(simplex._Tableau, name)]
 
 
 def point_sets() -> list[PointSet]:
@@ -77,14 +82,14 @@ def patched(owner, **wrappers):
             setattr(owner, name, original)
 
 
-def record_corpus() -> list[tuple]:
-    """The ``(rows, rhs, objective)`` of every LP the skeleton oracle solves."""
+def record_corpus() -> list[tuple[tuple, dict]]:
+    """The ``(args, kwargs)`` of every LP the skeleton oracle solves."""
     corpus = []
 
     def recording(solve):
-        def run(rows, rhs, objective, stop_when_positive=False):
-            corpus.append((rows, rhs, objective))
-            return solve(rows, rhs, objective, stop_when_positive=stop_when_positive)
+        def run(*args, **kwargs):
+            corpus.append((args, kwargs))
+            return solve(*args, **kwargs)
         return run
 
     with patched(skeleton, lp_maximize=recording):
@@ -109,12 +114,11 @@ def timed_pass(corpus) -> dict[str, float]:
             return run
         return wrap
 
-    with patched(simplex._Tableau, __init__=timing("phase1"),
-                 run_phase1=timing("phase1"),
-                 drop_artificials=timing("drop_artificials")):
+    phase1 = {name: timing("phase1") for name in ["__init__", *PHASE1]}
+    with patched(simplex._Tableau, **phase1, drop_artificials=timing("drop_artificials")):
         start = clock()
-        for rows, rhs, objective in corpus:
-            simplex.lp_maximize(rows, rhs, objective, stop_when_positive=True)
+        for args, kwargs in corpus:
+            simplex.lp_maximize(*args, **kwargs)
         total = clock() - start
     spent["phase2"] = total - spent["phase1"] - spent["drop_artificials"]
     spent["total"] = total
@@ -145,10 +149,11 @@ def counted_pass(corpus) -> tuple[dict[str, int], str]:
         return run
 
     digest = hashlib.sha256()
-    with patched(simplex._Tableau, run_phase1=in_phase("phase1"),
+    phase1 = {name: in_phase("phase1") for name in PHASE1}
+    with patched(simplex._Tableau, **phase1,
                  drop_artificials=in_phase("drop_artificials"), pivot=counting):
-        for rows, rhs, objective in corpus:
-            value, _ = simplex.lp_maximize(rows, rhs, objective, stop_when_positive=True)
+        for args, kwargs in corpus:
+            value, _ = simplex.lp_maximize(*args, **kwargs)
             digest.update(b"+;" if value > 0 else str(value).encode() + b";")
     return counts, digest.hexdigest()
 
@@ -185,8 +190,9 @@ def main(argv=None) -> int:
             "seed": SEED,
             "point_sets": 1 + SUBSETS + FACES,
             "lps": lps,
-            "columns_p50": statistics.median(len(c[0][0]) for c in corpus),
-            "rows_p50": statistics.median(len(c[0]) for c in corpus),
+            "columns_p50": statistics.median(len(args[0][0]) for args, _ in corpus),
+            "rows_p50": statistics.median(len(args[0]) for args, _ in corpus),
+            "keywords": sorted({key for _, kwargs in corpus for key in kwargs}),
             "values_sha256": digest,
         },
         "lp": {
