@@ -238,7 +238,7 @@ def _load(path: Optional[str], parse, what: str):
         return parse(data)
     except KeyError as exc:
         raise UsageError("malformed %s input: missing key %s" % (what, exc))
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError("malformed %s input: %s" % (what, exc))
 
 

@@ -16,13 +16,13 @@ set test on the arcs of all its paths; the demands' completeness is read
 from their count and index ranges.  Only an invalid routing is walked
 again, in sorted demand order, to name its first violation.
 
-The concrete routings here are the hypercube bit-fixing scheme, its
-rerouted variant on the hypercube minus two antipodal vertices (the
-cube's vertex v becomes v - 1), the weighted shortest-path scheme on
-the hexagon, and the product construction that routes every pair
-through the intermediate vertex keeping the source's first coordinate
-and the target's second, each factor vertex routing to itself along a
-one-vertex path.
+Three all-pairs constructions are a graph plus a rule for one demand:
+the hypercube Q_d with bit-fixing; Q_d minus two antipodal vertices (the
+cube's vertex v becomes v - 1) with bit-fixing patched around them; and
+the 6-cycle with each demand split evenly over its shortest paths.  The
+product construction routes each pair of factor demands through the
+vertex keeping the source's first coordinate and the target's second,
+each factor vertex routing to itself along a one-vertex path.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from typing import Optional
+from typing import Callable, Optional
 
 from .graphs import Graph, cartesian_product, cycle_graph, hypercube, induced_subgraph
-from .rationals import HALF, ONE
+from .rationals import ONE
 
 Path = tuple[int, ...]
 WeightedPath = tuple[Path, Fraction]
@@ -223,17 +223,19 @@ def vertex_count(family: str, d: int) -> int:
     return 2 ** min(d, MAX_ROUTING_DIMENSION + 1) - (2 if family == "punctured" else 0)
 
 
+def _all_pairs(graph: Graph, rule: Callable[[int, int], list[WeightedPath]]) -> Routing:
+    """Routing of ``graph`` that sends each ordered pair s != t along
+    ``rule(s, t)``, a list of (path, weight) pairs, in ascending order."""
+    n = graph.n
+    return Routing(
+        graph, {(s, t): rule(s, t) for s in range(n) for t in range(n) if s != t}
+    )
+
+
 def bitfix_routing(d: int) -> Routing:
     """All-pairs bit-fixing routing on Q_d; every arc carries 2^(d-1)."""
     check_dimension("cube", d)
-    g = hypercube(d)
-    n = 1 << d
-    paths = {}
-    for s in range(n):
-        for t in range(n):
-            if s != t:
-                paths[(s, t)] = [(_bitfix_path(s, t, d), ONE)]
-    return Routing(g, paths)
+    return _all_pairs(hypercube(d), lambda s, t: [(_bitfix_path(s, t, d), ONE)])
 
 
 def punctured_routing(d: int) -> Routing:
@@ -251,48 +253,35 @@ def punctured_routing(d: int) -> Routing:
     """
     check_dimension("punctured", d)
     allones = (1 << d) - 1
-    g = induced_subgraph(hypercube(d), range(1, allones))
-    paths = {}
-    for s in range(1, allones):
-        for t in range(1, allones):
-            if s == t:
-                continue
-            path = list(_bitfix_path(s, t, d))
-            for pos in range(1, len(path) - 1):
-                if path[pos] == 0:
-                    path[pos] = path[pos - 1] | path[pos + 1]
-                elif path[pos] == allones:
-                    path[pos] = path[pos - 1] & path[pos + 1]
-            paths[(s - 1, t - 1)] = [(tuple(v - 1 for v in path), ONE)]
-    return Routing(g, paths)
+
+    def rule(s: int, t: int) -> list[WeightedPath]:
+        path = list(_bitfix_path(s + 1, t + 1, d))
+        for pos in range(1, len(path) - 1):
+            if path[pos] == 0:
+                path[pos] = path[pos - 1] | path[pos + 1]
+            elif path[pos] == allones:
+                path[pos] = path[pos - 1] & path[pos + 1]
+        return [(tuple(v - 1 for v in path), ONE)]
+
+    return _all_pairs(induced_subgraph(hypercube(d), range(1, allones)), rule)
 
 
 def hexagon_routing() -> Routing:
     """Shortest-path routing on the 6-cycle.
 
-    Pairs at distance one or two use their unique shortest path with
-    weight 1; antipodal pairs split evenly over the two length-3 paths.
-    Every arc then carries 3 + 3/2 flow, so the congestion is 3/4.
+    Each demand splits evenly over its shortest paths, the clockwise
+    (index-increasing) one first: a pair at distance one or two has one,
+    an antipodal pair two of weight 1/2.  Every arc then carries 3 + 3/2
+    flow, so the congestion is 3/4.
     """
-    g = cycle_graph(6)
-    paths = {}
-    for s in range(6):
-        for t in range(6):
-            if s == t:
-                continue
-            forward = (t - s) % 6
-            if forward in (1, 2):
-                walk = tuple((s + step) % 6 for step in range(forward + 1))
-                paths[(s, t)] = [(walk, ONE)]
-            elif forward in (4, 5):
-                backward = 6 - forward
-                walk = tuple((s - step) % 6 for step in range(backward + 1))
-                paths[(s, t)] = [(walk, ONE)]
-            else:
-                cw = tuple((s + step) % 6 for step in range(4))
-                ccw = tuple((s - step) % 6 for step in range(4))
-                paths[(s, t)] = [(cw, HALF), (ccw, HALF)]
-    return Routing(g, paths)
+
+    def rule(s: int, t: int) -> list[WeightedPath]:
+        walks = [tuple((s + step * k) % 6 for k in range(step * (t - s) % 6 + 1))
+                 for step in (1, -1)]
+        shortest = [walk for walk in walks if len(walk) == min(map(len, walks))]
+        return [(walk, ONE / len(shortest)) for walk in shortest]
+
+    return _all_pairs(cycle_graph(6), rule)
 
 
 def product_routing(rg: Routing, rh: Routing) -> Routing:

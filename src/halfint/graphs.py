@@ -60,8 +60,9 @@ class Graph:
 
     @staticmethod
     def from_json(data: Mapping) -> "Graph":
-        """Parse ``to_json`` output; a non-string label, or a non-integer
-        count or index, is rejected."""
+        """Parse ``to_json`` output; a non-string label, a non-integer
+        count or index, or an edge listed twice (in either orientation)
+        is rejected."""
         labels = data["labels"]
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
             raise ValueError("labels %r are not a list of strings" % (labels,))
@@ -71,10 +72,16 @@ class Graph:
         if not isinstance(data["edges"], list):
             raise ValueError("edges %r are not a list of index pairs" % (data["edges"],))
         edges = []
-        for edge in data["edges"]:
+        first = {}  # each edge, in either orientation, to its position
+        for idx, edge in enumerate(data["edges"]):
             if not isinstance(edge, list) or len(edge) != 2:
                 raise ValueError("edge %r is not a pair of vertex indices" % (edge,))
-            edges.append(tuple(int_from_json(x, "edge index") for x in edge))
+            u, v = (int_from_json(x, "edge index") for x in edge)
+            seen = first.setdefault((min(u, v), max(u, v)), idx)
+            if seen != idx:
+                raise ValueError("edge %d %r repeats edge %d %r"
+                                 % (idx, edge, seen, data["edges"][seen]))
+            edges.append((u, v))
         return make_graph(labels, edges)
 
     def to_dot(self) -> str:

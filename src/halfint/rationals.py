@@ -23,11 +23,13 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
-_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?\Z")
 
 
 def rational_from_str(text: str) -> Fraction:
-    """Parse a canonical rational string ("p/q" or "p").
+    """Parse "p/q" or "p" in ASCII digits, p with an optional minus sign.
+    Surrounding whitespace is ignored and "2/4" reads as 1/2, but a zero
+    denominator ("1/0") is refused: a ValueError names the entry.
 
     Decimal notation is rejected on purpose: every number in this
     package is an exact rational, and accepting "0.1" would invite

@@ -211,6 +211,17 @@ def test_zono_rejects_non_ascii_digits(capsys, tmp_path, entry):
     assert "not a canonical rational string" in err
 
 
+@pytest.mark.parametrize("entry", ["1/0", " -2/00 "])
+def test_zono_names_a_zero_denominator(capsys, tmp_path, entry):
+    path = write_json(tmp_path, "gens.json", {"dim": 1, "generators": [[entry]]})
+    code, out, err = run(capsys, "zono", "--action", "check", "--in", path)
+    assert code == 2 and out == ""
+    assert err == (
+        "error: malformed generator input: not a canonical rational string: %r\n"
+        % entry.strip()
+    )
+
+
 def test_flow_cube_golden(capsys):
     code, out, _ = run(capsys, "flow", "--family", "cube", "--d", "4")
     assert code == 0
@@ -384,6 +395,24 @@ def test_graph_rejects_edges_that_are_not_a_list(capsys, tmp_path, edges):
     code, out, err = run(capsys, "graph", "--action", "product", "--in", a, "--in2", a)
     assert code == 2 and out == ""
     assert "malformed graph input" in err and "not a list of index pairs" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("graph", "--action", "expansion"), ("zono", "--action", "realize"),
+     ("graph", "--action", "product", "--in2", "GOOD")],
+    ids=["graph-expansion", "zono-realize", "graph-product"],
+)
+@pytest.mark.parametrize("repeat", [[1, 0], [0, 1]], ids=["reversed", "exact"])
+def test_graph_refuses_a_repeated_edge(capsys, tmp_path, argv, repeat):
+    # merged into one edge, the input would be answered as a different graph
+    bad = write_json(tmp_path, "bad.json",
+                     {"labels": ["a", "b", "c"], "edges": [[0, 1], [1, 2], repeat]})
+    good = write_json(tmp_path, "good.json", {"labels": ["x", "y"], "edges": [[0, 1]]})
+    argv = [good if arg == "GOOD" else arg for arg in argv]
+    code, out, err = run(capsys, *argv, "--in", bad)
+    assert code == 2 and out == ""
+    assert err == "error: malformed graph input: edge 2 %r repeats edge 0 [0, 1]\n" % repeat
 
 
 _READERS = [

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from halfint.cli import main
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # a zero denominator is refused
 
 json_values = st.recursive(
     st.none()
@@ -120,6 +120,7 @@ def valid_graph(data):
             isinstance(e, list) and len(e) == 2 and all(_is_int(x) for x in e)
             for e in data["edges"]
         )
+        and len({frozenset(e) for e in data["edges"]}) == len(data["edges"])
         and ("n" not in data or _is_int(data["n"]))
     )
 

@@ -1,8 +1,10 @@
 """The CLI's JSON writer matches ``json.dumps(..., sort_keys=True)``, compact
 and with ``indent=2``, byte for byte, on arbitrary values and on full
 ``flow --routing`` reports, and a routing written from its index paths
-matches its nested-dict form in JSON, text and ``--approx`` reports."""
+matches its nested-dict form in JSON, text and ``--approx`` reports;
+nine routing reports are pinned by their sha256."""
 
+import hashlib
 import json
 
 import pytest
@@ -128,3 +130,37 @@ def test_routing_writer_matches_nested_dict_reference(capsys, tmp_path, argv):
     assert main(["flow", *argv, "--out", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert target.read_text() == expected
+
+
+# sha256 of each ``flow ... --routing`` report, recorded before the routings
+# were rebuilt from per-demand rules; a reordered path, a reweighted path or a
+# changed demand order changes the digest.
+_PINNED_REPORTS = [
+    ("--family hexagon",
+     8733, "03b5b216282df25ee5125a3843d59022df6557e4535e03dc704426d9c4ae74b9"),
+    ("--family hexagon --format text",
+     3229, "e8a8a7ebeab1062ffe24a7b9c84ee58b52d524a6483d2665411afa078fd2e835"),
+    ("--family hexagon --approx",
+     9486, "ae046b376cbaf8a8acf30f44dffb329687efbba9333cc625cec1963e00f8f54c"),
+    ("--family punctured --d 3",
+     8011, "c337db8620b1f29d4879f317565dc2e757bbf84a5796562cd51f18ecf388dfbd"),
+    ("--family punctured --d 5",
+     241196, "daf6e29281ce34046388da7e8c126b794f02752364cf409fce4d0a42bb7dc9fd"),
+    ("--family cube --d 3",
+     14574, "5eac9537468e601c604624922b547bba7831b61495aedcd5eed58498b0f8dc7f"),
+    ("--family product --factors hexagon,cube:2",
+     170232, "58fc20150af8388edf24ef341be3f890a1919fc23197ed185544000039617bbc"),
+    ("--family product --factors cube:1,hexagon",
+     39235, "5021a2dcc3ec0475ca8b87f4d4d2157127e4a9f744e4d95589b05e9bf41cd970"),
+    ("--family product --factors punctured:3,hexagon",
+     409982, "02eb827c5e2e594e084fd8a0d8f9cd40cfd698e89535088194fc97e671685188"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, size, digest", _PINNED_REPORTS, ids=[argv for argv, _, _ in _PINNED_REPORTS]
+)
+def test_routing_report_digests(capsys, argv, size, digest):
+    assert main(["flow", *argv.split(), "--routing"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)

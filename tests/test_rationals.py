@@ -40,8 +40,8 @@ def test_point_to_strs_canonical():
 
 
 def test_rational_from_str_rejects_junk():
-    for bad in ("", "1//2", "a", "1/0", "1.5"):
-        with pytest.raises((ValueError, ZeroDivisionError)):
+    for bad in ("", "1//2", "a", "1/0", "-3/000", "1.5"):
+        with pytest.raises(ValueError):
             rational_from_str(bad)
 
 

@@ -1,8 +1,8 @@
 """Layer benchmark for flow certificates; writes ``BENCH_flows.json``.
 
-For three routings (punctured d = 7, cube d = 6 and the product
-``cube:1,punctured:4``) it records the median seconds, over ``REPEATS``
-runs, of:
+For four routings (punctured d = 7, cube d = 6 and the products
+``cube:1,punctured:4`` and ``cube:2,hexagon``) it records the median
+seconds, over ``REPEATS`` runs, of:
 
 - building the routing;
 - ``validate`` and ``arc_flows`` on it;
@@ -15,9 +15,9 @@ A sha256 of each ``--routing`` report pins its bytes, so the figures of
 two checkouts compare the same output.
 
 It reads only names the library has long had (``bitfix_routing``,
-``punctured_routing``, ``product_routing``, ``validate``, ``arc_flows``
-and ``cli.main``), so a copy placed in an older checkout measures that
-checkout:
+``punctured_routing``, ``hexagon_routing``, ``product_routing``,
+``validate``, ``arc_flows`` and ``cli.main``), so a copy placed in an
+older checkout measures that checkout:
 
     python3 tools/bench_flows.py                       # BENCH_flows.json
     python3 tools/bench_flows.py --out other.json
@@ -48,6 +48,7 @@ from halfint import cli  # noqa: E402
 from halfint.flows import (  # noqa: E402
     arc_flows,
     bitfix_routing,
+    hexagon_routing,
     product_routing,
     punctured_routing,
     validate,
@@ -59,16 +60,20 @@ CASES = {
     "punctured:7": ["--family", "punctured", "--d", "7"],
     "cube:6": ["--family", "cube", "--d", "6"],
     "cube:1,punctured:4": ["--family", "product", "--factors", "cube:1,punctured:4"],
+    "cube:2,hexagon": ["--family", "product", "--factors", "cube:2,hexagon"],
 }
 
 
 def build(name: str):
     """The routing a ``flow`` request builds for ``name``, a comma-separated
-    list of cube:<d> and punctured:<d> factors."""
+    list of cube:<d>, punctured:<d> and hexagon factors."""
     routings = []
     for token in name.split(","):
-        family, d = token.split(":")
-        routings.append((bitfix_routing if family == "cube" else punctured_routing)(int(d)))
+        family, _, d = token.partition(":")
+        if family == "hexagon":
+            routings.append(hexagon_routing())
+        else:
+            routings.append((bitfix_routing if family == "cube" else punctured_routing)(int(d)))
     routing, *others = routings
     for other in others:
         routing = product_routing(routing, other)
