@@ -8,9 +8,8 @@ exactly by scanning every cut once, for graphs of up to
 splits the vertices into two halves, tabulates the boundary of every
 subset of each half, and adds the edges between the halves through a
 subset-sum table, so a cut costs the same few vectorized operations
-whatever the number of edges.  All arithmetic is 64-bit integer, so
-the result is exact, and the witness reported for ties is the
-lexicographically smallest bitmask.
+whatever the number of edges.  Its 32-bit integers cannot overflow, so
+the result is exact; ties report the smallest bitmask.
 """
 
 from __future__ import annotations
@@ -163,12 +162,12 @@ def _boundary_table(
     deg(v) - 2 |N(v) & X| for X among the vertices before v.
     """
     k = stop - first
-    table = np.zeros(1 << k, dtype=np.int64)
-    masks = np.arange(1 << k, dtype=np.int64)
+    table = np.zeros(1 << k, dtype=np.int32)
+    masks = np.arange(1 << k, dtype=np.int32)
     for i, neigh in enumerate(adjacency[first:stop]):
         below = slice(0, 1 << i)
         common = np.bitwise_count(masks[below] & _bitmask(neigh, first, stop))
-        table[1 << i : 2 << i] = table[below] + len(neigh) - 2 * common.astype(np.int64)
+        table[1 << i : 2 << i] = table[below] + len(neigh) - 2 * common.astype(np.int32)
     return table
 
 
@@ -177,8 +176,8 @@ def expansion_bruteforce(graph: Graph) -> tuple[Fraction, CutReport]:
 
     Every cut {S, V \\ S} is visited exactly once by enumerating the
     side S that avoids the last vertex.  Ratios are compared through
-    the scaled integer boundary * (L / min(|S|, n - |S|)) with L a fixed
-    common multiple, so no division leaves the integers.
+    the scaled integer boundary * (L / min(|S|, n - |S|)) with L =
+    lcm(1..n // 2), so no division leaves the integers.
 
     The scan meets in the middle.  The other n - 1 vertices are split
     into a low half (bits 0..l-1, l = ceil((n - 1) / 2)) and a high
@@ -186,12 +185,13 @@ def expansion_bruteforce(graph: Graph) -> tuple[Fraction, CutReport]:
     |d(A + B)| = |d(A)| + |d(B)| - 2 e(A, B).  The two boundary terms
     come from one table per half.  For a block of high rows B, the
     cross term e(A, B) = sum over u in A of |N(u) & B| is a subset-sum
-    table over the low bits, built by doubling.  So each mask costs a
-    fixed number of int64 numpy operations whatever the edge count,
-    and a block holds at most 2^20 masks.  Rows are laid out high bits
-    first, so a row-major ``argmin`` finds the smallest mask of a
-    block's minimum; keeping the first block's minimum on ties reports
-    the lexicographically smallest bitmask among all minimizers.
+    table over the low bits, built by doubling.  A cut has at most
+    |S| (n - |S|) edges, so a scaled value is at most (n - 1) * L
+    (10,450,440 < 2^31 at n = 30) and int32 cannot overflow.  A block
+    holds at most 2^18 masks (1 MiB), so its passes stay in cache.
+    Rows are laid out high bits first, so a row-major ``argmin`` finds
+    the smallest mask of a block's minimum; keeping the first block's
+    minimum on ties reports the lexicographically smallest bitmask.
     """
     n = graph.n
     if n < 2:
@@ -207,30 +207,30 @@ def expansion_bruteforce(graph: Graph) -> tuple[Fraction, CutReport]:
     low_table = _boundary_table(adjacency, 0, low_bits)
     high_table = _boundary_table(adjacency, low_bits, n - 1)
     cross = np.array(
-        [_bitmask(adjacency[u], low_bits, n - 1) for u in range(low_bits)], dtype=np.int64
+        [_bitmask(adjacency[u], low_bits, n - 1) for u in range(low_bits)], dtype=np.int32
     )
     # factor[k] = scale // min(k, n - k) for |S| = k, and row p of
     # factor_rows holds it for every A when |B| = p
     scale = math.lcm(*range(1, n // 2 + 1))
-    factor = np.array([0] + [scale // min(k, n - k) for k in range(1, n)], dtype=np.int64)
-    high_masks = np.arange(1 << high_bits, dtype=np.int64)
-    low_count = np.bitwise_count(np.arange(1 << low_bits, dtype=np.int64))
+    factor = np.array([0] + [scale // min(k, n - k) for k in range(1, n)], dtype=np.int32)
+    high_masks = np.arange(1 << high_bits, dtype=np.int32)
+    low_count = np.bitwise_count(np.arange(1 << low_bits, dtype=np.int32))
     high_count = np.bitwise_count(high_masks)
     factor_rows = factor[np.arange(high_bits + 1)[:, None] + low_count[None, :]]
     width = 1 << low_bits
-    rows = max(1, (1 << 20) >> low_bits)
+    rows = max(1, (1 << 18) >> low_bits)
     best: Optional[tuple[int, int]] = None
     for top in range(0, 1 << high_bits, rows):
         block = slice(top, top + rows)
-        twice = 2 * np.bitwise_count(high_masks[block, None] & cross).astype(np.int64)
-        value = np.empty((len(twice), width), dtype=np.int64)
+        twice = 2 * np.bitwise_count(high_masks[block, None] & cross).astype(np.int32)
+        value = np.empty((len(twice), width), dtype=np.int32)
         value[:, 0] = high_table[block]
         for u in range(low_bits):  # subtract 2 e(A, B) by doubling over A
             np.subtract(value[:, : 1 << u], twice[:, u, None], out=value[:, 1 << u : 2 << u])
         value += low_table
         value *= factor_rows[high_count[block]]
         if top == 0:
-            value[0, 0] = np.iinfo(np.int64).max  # S empty is not a cut
+            value[0, 0] = np.iinfo(np.int32).max  # S empty is not a cut
         pos = int(value.argmin())
         candidate = (int(value.flat[pos]), top * width + pos)
         if best is None or candidate < best:

@@ -40,7 +40,7 @@ def rational_from_str(text: str) -> Fraction:
         raise ValueError("not a rational string: %r" % (text,))
     text = text.strip()
     if not _RATIONAL_RE.match(text):
-        raise ValueError("not a canonical rational string: %r" % text)
+        raise ValueError("not p/q or p in ASCII digits, q nonzero: %r" % text)
     return Fraction(text)
 
 

@@ -8,7 +8,9 @@ program); everything else is seconds.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
+import numpy as np
 from conftest import record_criterion
 
 from halfint.flows import (
@@ -28,7 +30,7 @@ from halfint.graphs import (
     is_isomorphic_via,
     make_graph,
 )
-from halfint.skeleton import hull_vertices, skeleton_graph
+from halfint.skeleton import PointSet, hull_vertices, skeleton_graph
 from halfint.sparse_cut import (
     build,
     central_binomial_within_bound,
@@ -204,6 +206,43 @@ def test_criterion_7_hexagon():
     value, _ = expansion_bruteforce(cycle_graph(6))
     assert value == Fraction(2, 3)
     assert value >= bound
+
+
+def _cube_subset_orbits(d):
+    """Smallest bitmask of each orbit of vertex subsets of {0,1}^d under
+    the 2^d d! cube symmetries; point p has coordinate k = (p >> k) & 1
+    and is bit p of a mask."""
+    points = np.arange(1 << d)
+    masks = np.arange(1 << (1 << d))
+    byte_bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    canonical = masks.copy()
+    for perm in permutations(range(d)):
+        moved = sum(((points >> k) & 1) << perm[k] for k in range(d))
+        for flip in range(1 << d):
+            image = 1 << (moved ^ flip)  # image of each single point, as a mask
+            tables = [byte_bits @ image[i : i + 8] for i in range(0, 1 << d, 8)]
+            mapped = sum(table[(masks >> 8 * i) & 255] for i, table in enumerate(tables))
+            np.minimum(canonical, mapped, out=canonical)
+    return masks[canonical == masks]
+
+
+def test_zero_one_polytopes_up_to_dimension_4_expand():
+    # Mihai and Vazirani conjecture h >= 1 for every 0/1 polytope; the
+    # paper refutes it with half-integral ones (the hexagon above has
+    # h = 2/3).  Up to symmetry, every 0/1 polytope in R^d, d <= 4, is
+    # the hull of one of these vertex sets, and none is a counterexample.
+    orbits = _cube_subset_orbits(4)
+    assert len(orbits) == 402
+    values, full_dimensional = [], 0
+    for mask in orbits.tolist():
+        points = [[(p >> k) & 1 for k in range(4)] for p in range(16) if (mask >> p) & 1]
+        if len(points) < 2:
+            continue
+        full_dimensional += np.linalg.matrix_rank(np.array(points[1:]) - points[0]) == 4
+        graph = skeleton_graph(PointSet.from_iterable(4, points))
+        values.append(expansion_bruteforce(graph)[0])
+    assert full_dimensional == 347
+    assert min(values) == 1
 
 
 @_criterion(8, "all products up to 24 vertices: congestion <= 6/7, expansion >= 7/12")

@@ -98,6 +98,8 @@ def test_expansion_matches_per_edge_reference():
         kind = _REFERENCE_KINDS[(trial // 15) % len(_REFERENCE_KINDS)]
         cases.append((n, kind))
     cases += [(18, "random"), (19, "last-vertex star"), (19, "cycle"), (20, "random")]
+    # past 2^18 masks: cycle ties span several blocks; K21's cuts are as large as can be
+    cases += [(21, "cycle"), (22, "cycle"), (21, "random"), (21, "complete")]
     for n, kind in cases:
         g = _reference_case(rng, n, kind)
         value, rep = expansion_bruteforce(g)
@@ -194,6 +196,21 @@ def test_expansion_complement_symmetry():
     value, rep = expansion_bruteforce(g)
     complement = sorted(set(range(6)) - set(rep.subset))
     assert cut_ratio(g, complement).ratio == value
+
+
+def test_expansion_complete_30_closed_form():
+    # every side of size k cuts k (30 - k) edges, least per vertex at k = 15
+    value, rep = expansion_bruteforce(
+        make_graph([str(i) for i in range(30)], combinations(range(30), 2))
+    )
+    assert value == 15
+    assert rep.subset == tuple(range(15)) and rep.boundary_size == 225
+
+
+def test_expansion_scaled_values_fit_int32():
+    # the scan's largest scaled value, (n - 1) * lcm(1..n // 2), is an int32
+    for n in range(2, MAX_EXPANSION_VERTICES + 1):
+        assert (n - 1) * math.lcm(*range(1, n // 2 + 1)) < 2**31, n
 
 
 def test_expansion_guards():
