@@ -22,13 +22,20 @@ point uses structural columns only, so a feasible system keeps its
 phase-1 optimum at zero as columns drop, and Bland's rule terminates
 between the at most ``m`` drops.
 
+Phase 2 holds the artificials still basic at zero instead of pivoting
+them out (Chvatal 1983, *Linear Programming*, ch. 8): an artificial row
+with a nonzero entry in the entering column blocks at ratio 0, ahead of
+any structural row, and is negated first if that entry is negative (its
+right-hand side is 0, so ``det`` stays positive).  Bland's rule still
+terminates, because an artificial that leaves never returns: at most
+``m`` such pivots, with ordinary Bland pivots between them.
+
 A caller that already knows a feasible point can skip phase 1: with
 ``start``, ``lp_maximize`` pivots the given columns into the artificial
 basis (a crash basis, Bixby 1992), one pivot per column, and checks
 that the basic solution they reach is feasible with every remaining
 artificial at zero.  A hint that fails the check raises ValueError, so
-it can cost time but never change an answer.  Phase 2 runs from there
-under Bland's rule, which terminates from any feasible basis.
+it can cost time but never change an answer.  Phase 2 runs from there.
 """
 
 from __future__ import annotations
@@ -48,7 +55,8 @@ class _Tableau:
     Each row holds ``det`` times a row of the rational tableau, with its
     right-hand side in the last slot, index ``n``.  Reduced-cost rows
     have the same layout and hold the negated objective value there.
-    An artificial basic in row ``i`` is recorded as ``n + i``.
+    An artificial basic in row ``i`` is recorded as ``n + i``; phase 2
+    (``hold_artificials``) pivots it out at ratio 0 only when it blocks.
     """
 
     def __init__(self, rows: Sequence[Sequence], rhs: Sequence):
@@ -68,6 +76,8 @@ class _Tableau:
     def pivot(self, pivot_row: int, entering: int, cost: Optional[list[int]] = None):
         """Pivot every row, and ``cost`` if given; returns the updated cost row."""
         prow = self.rows[pivot_row]
+        if prow[entering] < 0:  # negate the pivot row first, so det stays positive
+            prow = self.rows[pivot_row] = [-x for x in prow]
         det = self.det
         for i in range(self.m):
             if i != pivot_row:
@@ -78,12 +88,16 @@ class _Tableau:
         self.det = prow[entering]
         return cost
 
-    def minimize(self, cost: list[int], stop_when_negative: bool = False):
+    def minimize(
+        self, cost: list[int], stop_when_negative: bool = False, hold_artificials: bool = False
+    ):
         """Run Bland pivots until the reduced costs are nonnegative.
 
         ``cost`` is the reduced-cost row; the updated row is returned.
         With ``stop_when_negative`` the loop exits as soon as the
         objective drops below zero (the caller only needs the sign).
+        With ``hold_artificials`` (phase 2) the first artificial row with
+        a nonzero entry in the entering column blocks, at ratio 0.
         """
         m = self.m
         n = self.n
@@ -97,6 +111,9 @@ class _Tableau:
             pivot_row = None
             for i in range(m):
                 coef = rows[i][entering]
+                if hold_artificials and coef and self.basis[i] >= n:
+                    pivot_row = i
+                    break
                 if coef > 0:
                     if pivot_row is None:
                         pivot_row, num, den = i, rows[i][n], coef
@@ -131,29 +148,8 @@ class _Tableau:
             if row is None:
                 raise ValueError("start columns are linearly dependent")
             self.pivot(row, j)
-        self.make_det_positive()
         if any(r[n] < 0 or (b >= n and r[n]) for r, b in zip(self.rows, self.basis)):
             raise ValueError("start columns carry no feasible basic solution")
-
-    def make_det_positive(self) -> None:
-        if self.det < 0:
-            self.rows = [[-x for x in row] for row in self.rows]
-            self.det = -self.det
-
-    def drop_artificials(self) -> None:
-        """Pivot each basic artificial out, or delete its row when the row is zero."""
-        keep = []
-        for i in range(self.m):
-            if self.basis[i] >= self.n:
-                entering = next((j for j in range(self.n) if self.rows[i][j] != 0), None)
-                if entering is None:
-                    continue
-                self.pivot(i, entering)
-                self.make_det_positive()
-            keep.append(i)
-        self.rows = [self.rows[i] for i in keep]
-        self.basis = [self.basis[i] for i in keep]
-        self.m = len(keep)
 
     def solution(self) -> tuple[Fraction, ...]:
         witness = [_ZERO] * self.n
@@ -203,16 +199,15 @@ def lp_maximize(
         tab.crash(start)
     elif not tab.run_phase1():
         return None
-    tab.drop_artificials()
     # Minimize the negated objective, scaled to integers; reduced costs
     # relative to the current basis, negated value in the last slot.
     den = lcm(*{c.denominator for c in objective})
     cost = [-c for c in _scaled(objective, den)]
     reduced = [tab.det * c for c in cost] + [0]
     for i, j in enumerate(tab.basis):
-        if cost[j]:
+        if j < tab.n and cost[j]:
             reduced = [a - cost[j] * b for a, b in zip(reduced, tab.rows[i])]
-    reduced = tab.minimize(reduced, stop_when_negative=stop_when_positive)
+    reduced = tab.minimize(reduced, stop_when_positive, hold_artificials=True)
     return Fraction(reduced[tab.n], tab.det * den), tab.solution()
 
 

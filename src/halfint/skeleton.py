@@ -90,9 +90,12 @@ def _adjacent(
     The search starts from the midpoint's own representation, weight
     1/2 on each of the pair, which pruning always keeps: the target
     meets a coordinate's extreme only where both endpoints do.
+    A pair plus one point left by pruning is an edge without an LP: any
+    weight on the third point would make it collinear with the pair, and
+    ``hull_edges`` has checked that all three are hull vertices.
     """
     active = prune_candidates(target, points, list(range(len(points))))
-    if len(active) == 2:
+    if len(active) <= 3:
         return True
     rows, rhs = hull_system(target, points, active)
     objective = [0 if k == i or k == j else 1 for k in active]

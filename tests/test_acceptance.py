@@ -3,10 +3,12 @@
 Each test performs the full computation it certifies (no cached
 results) and registers its verdict with the conftest registry, which
 prints a PASS/FAIL line per criterion after the run.  The slowest item
-is the d=7 skeleton (87,990 vertex pairs, of which 17,080 need a linear
+is the d=7 skeleton (87,990 vertex pairs, of which 16,660 need a linear
 program); everything else is seconds.
 """
 
+import hashlib
+import json
 from fractions import Fraction
 from itertools import permutations
 
@@ -30,7 +32,7 @@ from halfint.graphs import (
     is_isomorphic_via,
     make_graph,
 )
-from halfint.skeleton import PointSet, hull_vertices, skeleton_graph
+from halfint.skeleton import PointSet, hull_vertices, skeleton_graph, skeleton_report
 from halfint.sparse_cut import (
     build,
     central_binomial_within_bound,
@@ -112,6 +114,12 @@ def test_criterion_3_straddling_edges_match():
         }
         assert len(straddling) == expected_counts[d]
         assert straddling == crossing
+    # The bytes `halfint sparsecut --d 7 --report skeleton` writes for the
+    # last skeleton: every vertex label and every edge of P_7.
+    stdout = json.dumps(skeleton_report(inst.vertices, graph), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(stdout.encode()).hexdigest() == (
+        "533582780b1832ec18aa2597c4e172ec69e3946fbac924e4f60b16bcceeba038"
+    )
 
 
 @_criterion(4, "cut-ratio trajectory dips below d/sqrt(2^d) first at d = 19")

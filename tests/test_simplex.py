@@ -311,17 +311,30 @@ def test_lp_maximize_stop_when_positive_random():
             assert value == expected
 
 
-def test_artificial_leaves_on_negative_pivot():
+def test_artificial_leaves_on_negative_pivot(monkeypatch):
     # 2x + y = 2, x + y = 2 forces x = 0, y = 2.  Phase 1 ends with the
     # second row's artificial basic at zero and -1 as its first nonzero
-    # entry, so removing it pivots on a negative entry.
+    # entry.  Phase 2 holds it there; when x enters (max x) that row
+    # blocks at ratio 0 and the pivot negates it first.
     rows, rhs = [[2, 1], [1, 1]], [2, 2]
     tab = _Tableau(rows, rhs)
     assert tab.run_phase1()
     row = next(i for i, j in enumerate(tab.basis) if j >= tab.n)
     assert next(x for x in tab.rows[row][: tab.n] if x) < 0
-    tab.drop_artificials()
-    assert tab.det > 0 and tab.basis == [1, 0]
+
+    pivots = []
+    pivot = _Tableau.pivot
+
+    def recording(self, pivot_row, entering, cost=None):
+        leaving, entry = self.basis[pivot_row], self.rows[pivot_row][entering]
+        cost = pivot(self, pivot_row, entering, cost)
+        pivots.append((leaving >= self.n, entry, self.rows[pivot_row], self.det))
+        return cost
+
+    monkeypatch.setattr(_Tableau, "pivot", recording)
+    assert lp_maximize(rows, rhs, [1, 0]) == (0, (0, 2))
+    assert pivots[-1] == (True, -1, [1, 0, 0], 1)
+    assert all(det > 0 for *_, det in pivots)
     assert lp_maximize(rows, rhs, [1, 1]) == (2, (0, 2))
     assert lp_maximize(rows, rhs, [Fraction(-1, 3), Fraction(1, 2)]) == (1, (0, 2))
 
@@ -514,6 +527,41 @@ def test_markers_only_tableau_matches_identity_tableau(monkeypatch):
                 _assert_witness(rows, rhs, witness)
                 assert _dot(objective, witness) == value
     assert reentries
+
+
+def test_redundant_row_keeps_its_artificial_basic(monkeypatch):
+    # The unit square's hull system with its y row repeated: the copy
+    # becomes a zero row, so its artificial never leaves the basis.
+    points = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    rows = [[p[0] for p in points], [p[1] for p in points], [p[1] for p in points], [1] * 4]
+    final_bases = []
+    solution = _Tableau.solution
+
+    def recording(self):
+        final_bases.append(list(self.basis))
+        return solution(self)
+
+    monkeypatch.setattr(_Tableau, "solution", recording)
+    verdicts = set()
+    for pair in combinations(range(4), 2):
+        target = [Fraction(points[pair[0]][k] + points[pair[1]][k], 2) for k in range(2)]
+        rhs = [target[0], target[1], target[1], Fraction(1)]
+        objective = [Fraction(0 if k in pair else 1) for k in range(4)]
+        for start in (None, pair):
+            for stop in (False, True):
+                final_bases.clear()
+                said, result = _maximum(
+                    lambda: lp_maximize(rows, rhs, objective, stop, start=start), stop
+                )
+                assert said == _maximum(
+                    lambda: _identity_solve(rows, rhs, objective, stop), stop
+                )[0]
+                value, witness = result
+                _assert_witness(rows, rhs, witness)
+                assert _dot(objective, witness) == value
+                assert any(j >= 4 for j in final_bases[0])
+                verdicts.add(said)
+    assert verdicts == {0, 1, "positive"}
 
 
 def _pair_system(rng):

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from halfint.simplex import hull_system, lp_maximize
+from halfint.simplex import hull_system, lp_maximize, prune_candidates
 from halfint.skeleton import (
     PointSet,
     hull_edges,
@@ -166,3 +166,25 @@ def test_edges_started_at_the_midpoint_match_phase1_edges(monkeypatch):
         pair_count += len(pset) * (len(pset) - 1) // 2
     assert starts and None not in starts
     assert 0 < edge_count < pair_count
+
+
+def test_pairs_pruned_to_three_candidates_are_edges():
+    # _adjacent answers "edge" without an LP when pruning leaves the pair
+    # plus one point; the full LP on the pruned system must agree.
+    rng = random.Random(20261019)
+    p7, p11 = list(iter_vertices(7)), list(iter_vertices(11))
+    sets = [PointSet(7, tuple(rng.sample(p7, rng.randint(20, 30)))) for _ in range(6)]
+    sets += [PointSet(11, tuple(rng.sample(p11, rng.randint(20, 30)))) for _ in range(6)]
+    triples = 0
+    for pset in sets + _family_point_sets():
+        pts = pset.points
+        for i, j in combinations(range(len(pts)), 2):
+            target = tuple((a + b) / 2 for a, b in zip(pts[i], pts[j]))
+            active = prune_candidates(target, pts, list(range(len(pts))))
+            if len(active) != 3:
+                continue
+            rows, rhs = hull_system(target, pts, active)
+            objective = [0 if k in (i, j) else 1 for k in active]
+            assert lp_maximize(rows, rhs, objective)[0] == 0
+            triples += 1
+    assert triples > 100
