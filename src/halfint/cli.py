@@ -7,7 +7,9 @@ numbers are exact rational strings (``--approx`` adds a decimal
 rendering next to them for human readers).  One writer, ``_dumps``,
 encodes every JSON value, indented for JSON reports and compact inside
 text reports; a routing embedded with ``flow --routing`` is written
-straight from its index paths, each label encoded once.
+straight from its index paths, each label encoded once, and a demand
+at a time into its place in the rest of the report, so the writer never
+holds the whole report.
 
 Each request takes one path: parse, refuse, compute, emit once.  Only
 the three reports that carry a graph (sparsecut skeleton, zono
@@ -23,13 +25,14 @@ that is not half-integral).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 from math import prod
-from typing import Optional
+from typing import Iterator, Optional
 
 from .flows import (
     MAX_ROUTING_DIMENSION,
@@ -115,7 +118,7 @@ def _render_text(payload: dict, approx: bool) -> str:
     lines = []
     for key in sorted(payload):
         value = payload[key]
-        if isinstance(value, (dict, list, Routing)):
+        if isinstance(value, (dict, list)):
             rendered = _dumps(value)
         else:
             rendered = str(value)
@@ -158,17 +161,15 @@ def _dumps(value, indent: Optional[str] = None) -> str:
             _string(v) if type(v) is str else _dumps(v, inner) for v in value
         ])
         return "".join(("[", pad, body, close, "]"))
-    if isinstance(value, Routing):
-        return _routing_json(value, indent)
     raise TypeError("cannot render %s as JSON" % type(value).__name__)
 
 
-def _routing_json(routing: Routing, indent: Optional[str]) -> str:
+def _routing_json(routing: Routing, indent: Optional[str]) -> Iterator[str]:
     """``{"demands": [{"paths": [{"vertices", "weight"}], "source",
-    "target"}], "graph"}``, demands sorted, vertices by label; written
-    from the index paths, each label encoded once, each path and each
-    demand one join.  Padding and separators at depth k below ``indent``
-    follow ``_dumps``."""
+    "target"}], "graph"}``, demands sorted, vertices by label, in pieces:
+    written from the index paths, each label encoded once, each path and
+    each demand one join.  Padding and separators at depth k below
+    ``indent`` follow ``_dumps``."""
     compact = indent is None
     pads = [""] * 7 if compact else [indent + "  " * k for k in range(7)]
     seps = [", "] * 7 if compact else ["," + pad for pad in pads]
@@ -184,38 +185,47 @@ def _routing_json(routing: Routing, indent: Optional[str]) -> str:
         vertices = seps[6].join([labels[v] for v in path])
         return "".join((path_open, vertices, path_mid, str(weight), path_close))
 
-    demands = seps[2].join([
-        "".join((demand_open, seps[4].join([path_json(*e) for e in entries]),
-                 demand_mid, labels[s], target, labels[t], demand_close))
-        for (s, t), entries in sorted(routing.paths.items())
-    ])
-    opened = ("[", pads[2], demands, pads[1], "]") if demands else ("[]",)
+    demands = sorted(routing.paths.items())
+    yield "".join(("{", pads[1], '"demands": ', "[" + pads[2] if demands else "[]"))
+    for k, ((s, t), entries) in enumerate(demands):
+        yield "".join((seps[2] if k else "", demand_open,
+                       seps[4].join([path_json(*e) for e in entries]),
+                       demand_mid, labels[s], target, labels[t], demand_close))
     graph = _dumps(routing.graph.to_json(), None if compact else pads[1])
-    return "".join(("{", pads[1], '"demands": ', *opened, seps[1], '"graph": ',
-                    graph, pads[0], "}"))
+    closed = pads[1] + "]" if demands else ""
+    yield "".join((closed, seps[1], '"graph": ', graph, pads[0], "}"))
 
 
 def _emit(args, payload: dict, graph: Optional[Graph]) -> None:
-    # JSON ends in a newline written on its own: appending it to a
-    # multi-megabyte body would copy the body once more.
-    end = ""
+    # A routing is rendered as a NUL, and its demands are written one at a
+    # time in that place; JSON's final newline is written on its own.
+    # Joining them to the rest would hold a multi-megabyte report twice.
+    routing, end, indent = payload.get("routing"), "", None
     if args.format == "dot":
         text = graph.to_dot()
     elif args.format == "text":
-        text = _render_text(payload, args.approx)
+        text = _render_text(dict(payload, routing="\0") if routing else payload, args.approx)
     else:
         if args.approx:
             approx = _approx_map(payload)
             if approx:
                 payload = dict(payload, approx=approx)
-        text = _dumps(payload, "\n")
-        end = "\n"
+        text = _dumps(dict(payload, routing="\0") if routing else payload, "\n")
+        end, indent = "\n", "\n  "
+    head, hole, tail = text.partition("\0" if indent is None else _string("\0"))
+
+    def write(fh) -> None:
+        fh.write(head)
+        if hole:
+            fh.writelines(_routing_json(routing, indent))
+        fh.writelines((tail, end))
+
     if args.out is None or args.out == "-":
-        print(text, end=end)
+        write(sys.stdout)
         return
     try:
         with open(args.out, "w") as fh:
-            print(text, end=end, file=fh)
+            write(fh)
     except OSError as exc:
         raise UsageError("cannot write output: %s" % exc)
 
@@ -381,6 +391,7 @@ def _add_common(sub) -> None:
     )
 
 
+@functools.cache  # built once per process: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="halfint",

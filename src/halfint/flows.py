@@ -8,18 +8,19 @@ rho certifies edge expansion at least 1/(2 rho): each boundary edge of
 a cut {S, V-S} carries at most 2 rho n flow across, while the demand
 separated by the cut is at least |S| (n - |S|) >= |S| n / 2.
 
-Validation and arc flows are tallied in integers over one common
-denominator, the least common multiple of the weight denominators; only
-the reported per-arc flows are turned back into fractions.  A valid
-routing is confirmed in one walk over its demands, in any order, and one
-set test on the arcs of all its paths; the demands' completeness is read
-from their count and index ranges.  Only an invalid routing is walked
-again, in sorted demand order, to name its first violation.
+Validation and arc flows read one flat view of the routing, every path
+vertex in one integer array, and tally weights in integers over one
+common denominator, the least common multiple of the weight
+denominators; only the reported per-arc flows are turned back into
+fractions.  The demands' completeness is read from their count and index
+ranges.  Only a routing the flat view does not confirm is walked in
+Python, in sorted demand order, to name its first violation.
 
-Three all-pairs constructions are a graph plus a rule for one demand:
+Three all-pairs constructions are a graph plus a rule for one source:
 the hypercube Q_d with bit-fixing; Q_d minus two antipodal vertices (the
 cube's vertex v becomes v - 1) with bit-fixing patched around them; and
 the 6-cycle with each demand split evenly over its shortest paths.  The
+bit-fixing paths of a source come from one prefix table.  The
 product construction routes each pair of factor demands through the
 vertex keeping the source's first coordinate and the target's second,
 each factor vertex routing to itself along a one-vertex path.
@@ -27,12 +28,14 @@ each factor vertex routing to itself along a one-vertex path.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
+from operator import and_, index, itemgetter, or_
 from typing import Callable, Optional
+
+import numpy as np
 
 from .graphs import Graph, cartesian_product, cycle_graph, hypercube, induced_subgraph
 from .rationals import ONE
@@ -52,10 +55,9 @@ class Routing:
 
 
 def _violation(
-    s: int, t: int, entries: list[WeightedPath], scale: int, arcs: Optional[set] = None
+    s: int, t: int, entries: list[WeightedPath], scale: int, arcs: set
 ) -> Optional[str]:
-    """First violation within demand (s, t), in path order; arcs are
-    checked only when a set of them is given."""
+    """First violation within demand (s, t), in path order."""
     if not entries:
         return "demand (%d, %d) has no paths" % (s, t)
     total = 0
@@ -69,7 +71,7 @@ def _violation(
             return "demand (%d, %d) path %d has wrong endpoints" % (s, t, idx)
         if len(set(path)) != len(path):
             return "demand (%d, %d) path %d repeats a vertex" % (s, t, idx)
-        if arcs is not None and not arcs.issuperset(zip(path, path[1:])):
+        if not arcs.issuperset(zip(path, path[1:])):
             a, b = next(arc for arc in zip(path, path[1:]) if arc not in arcs)
             return "demand (%d, %d) path %d uses a non-edge (%d, %d)" % (
                 s, t, idx, a, b
@@ -79,6 +81,62 @@ def _violation(
             s, t, Fraction(total, scale)
         )
     return None
+
+
+def _flat(paths: dict) -> tuple:
+    """``paths`` in dict order: path counts, path lengths and weight classes,
+    the weights' common denominator and each class's weight times it, every
+    vertex (TypeError unless an integer), and which steps stay in a path."""
+    entries = list(chain.from_iterable(paths.values()))
+    walks, weights = list(map(itemgetter(0), entries)), list(map(itemgetter(1), entries))
+    lengths = np.fromiter(map(len, walks), np.intp, len(walks))
+    vertices = np.fromiter(map(index, chain.from_iterable(walks)), np.int64, lengths.sum())
+    # one shared weight object, as in Q_d (count would call __eq__ on each of a
+    # product's distinct weight objects)
+    if not weights or weights[-1] is weights[0] and weights.count(weights[0]) == len(weights):
+        ratios, classes = [w.as_integer_ratio() for w in weights[:1]], np.zeros_like(lengths)
+    else:
+        ids = list(map(id, weights))
+        found: dict[tuple[int, int], int] = {}
+        position = {key: found.setdefault(w.as_integer_ratio(), len(found))
+                    for key, w in dict(zip(ids, weights)).items()}
+        ratios, classes = list(found), np.fromiter(map(position.__getitem__, ids), np.intp)
+    scale = lcm(*(den for _, den in ratios))
+    scaled = np.array([num * (scale // den) for num, den in ratios], dtype=object)
+    counts = np.fromiter(map(len, paths.values()), np.intp, len(paths))
+    owner = np.repeat(np.arange(len(walks)), lengths)
+    return counts, lengths, scale, scaled, classes, vertices, owner[:-1] == owner[1:]
+
+
+def _confirmed(paths: dict, graph: Graph) -> bool:
+    """Whether the flat view shows the paths and weights of ``paths``, all
+    demands on ``graph``, valid; False leaves the verdict to ``_violation``."""
+    n = graph.n
+    try:
+        counts, lengths, scale, scaled, classes, vertices, within = _flat(paths)
+    except (TypeError, OverflowError):
+        return False
+    # in range before any fancy indexing: numpy would wrap -1 around
+    if not (counts.all() and lengths.min() > 1 and vertices.min() >= 0 and vertices.max() < n):
+        return False
+    ends = np.fromiter(chain.from_iterable(paths), np.int64, 2 * len(paths)).reshape(-1, 2)
+    ends, last = ends[np.repeat(np.arange(len(paths)), counts)], np.cumsum(lengths) - 1
+    adjacent = np.zeros((n, n), bool)
+    tails, heads = np.array(list(graph.edges), np.intp).reshape(-1, 2).T
+    adjacent[tails, heads] = adjacent[heads, tails] = True
+    if not ((vertices[last - lengths + 1] == ends[:, 0]).all()
+            and (vertices[last] == ends[:, 1]).all()
+            and adjacent[vertices[:-1][within], vertices[1:][within]].all()):
+        return False
+    keys = np.repeat(np.arange(len(lengths)) * n, lengths)  # path index * n + vertex
+    keys += vertices
+    keys.sort()
+    if (keys[1:] == keys[:-1]).any():  # a repeated vertex
+        return False
+    if list(scaled) == [scale]:  # every weight is 1
+        return bool(counts.max() == 1)
+    sums = np.add.reduceat(scaled[classes], np.cumsum(counts) - counts)
+    return min(scaled) > 0 and bool((sums == scale).all())
 
 
 def validate(routing: Routing) -> Optional[str]:
@@ -97,16 +155,11 @@ def validate(routing: Routing) -> Optional[str]:
         if missing:
             return "missing demand (%d, %d)" % min(missing)
         return "unexpected demand (%d, %d)" % min(paths.keys() - expected)
+    if not paths or _confirmed(paths, g):
+        return None
     scale = lcm(*{w.denominator for entries in paths.values() for _, w in entries})
     arcs = set(g.edges)
     arcs.update([(b, a) for a, b in g.edges])
-    steps = chain.from_iterable(
-        zip(p, p[1:]) for entries in paths.values() for p, _ in entries
-    )
-    if arcs.issuperset(steps) and not any(
-        _violation(s, t, entries, scale) for (s, t), entries in paths.items()
-    ):
-        return None
     for (s, t) in sorted(paths):
         problem = _violation(s, t, paths[(s, t)], scale, arcs)
         if problem is not None:
@@ -114,23 +167,22 @@ def validate(routing: Routing) -> Optional[str]:
 
 
 def arc_flows(routing: Routing) -> dict[tuple[int, int], Fraction]:
-    """Total flow on each directed arc (unvalidated accumulation).
-
-    Paths are grouped by weight, and each group's arc steps are counted
-    at once; the common denominator is taken over the distinct weights.
-    """
-    groups: dict[tuple[int, int], list[Path]] = defaultdict(list)
-    for entries in routing.paths.values():
-        for path, weight in entries:
-            groups[weight.as_integer_ratio()].append(path)
-    scale = lcm(*(den for _, den in groups))
-    tally: dict[tuple[int, int], int] = {}
-    for (num, den), paths in groups.items():
-        scaled = num * (scale // den)
-        counts = Counter(chain.from_iterable(zip(p, p[1:]) for p in paths))
-        for arc, count in counts.items():
-            tally[arc] = tally.get(arc, 0) + count * scaled
-    return {arc: Fraction(total, scale) for arc, total in tally.items()}
+    """Total flow on each directed arc (unvalidated accumulation; path
+    vertices must be 64-bit integers): arc steps counted per weight class
+    in one ``bincount``, tallied exactly over the common denominator."""
+    _, lengths, scale, scaled, classes, vertices, within = _flat(routing.paths)
+    names = np.arange(routing.graph.n)
+    if vertices.size and (vertices.min() < 0 or vertices.max() >= len(names)):
+        names, vertices = np.unique(vertices, return_inverse=True)  # an invalid routing
+    m = len(names)
+    codes = ((np.repeat(classes, lengths) * m + vertices) * m)[:-1] + vertices[1:]
+    counts = np.bincount(codes[within], minlength=len(scaled) * m * m)
+    counts = counts.reshape(len(scaled), m * m)
+    used = np.flatnonzero(counts.any(axis=0))
+    totals = counts[:, used].T.astype(object).dot(scaled)  # Python ints
+    names = names.tolist()
+    return {(names[code // m], names[code % m]): Fraction(total, scale)
+            for code, total in zip(used.tolist(), totals)}
 
 
 @dataclass(frozen=True)
@@ -182,22 +234,6 @@ def expansion_lower_bound(report: CongestionReport) -> Fraction:
     return 1 / (2 * report.congestion)
 
 
-def _bitfix_path(s: int, t: int, d: int) -> Path:
-    """Bit-fixing walk from s to t, correcting coordinates left to right.
-
-    Coordinate k is the k-th label character, i.e. bit d-1-k of the
-    vertex index.
-    """
-    path = [s]
-    cur = s
-    for k in range(d):
-        bit = 1 << (d - 1 - k)
-        if (cur ^ t) & bit:
-            cur ^= bit
-            path.append(cur)
-    return tuple(path)
-
-
 MAX_ROUTING_DIMENSION = 10
 
 # Routing and smallest dimension of each family: Q_d, and Q_d minus two vertices.
@@ -223,19 +259,33 @@ def vertex_count(family: str, d: int) -> int:
     return 2 ** min(d, MAX_ROUTING_DIMENSION + 1) - (2 if family == "punctured" else 0)
 
 
-def _all_pairs(graph: Graph, rule: Callable[[int, int], list[WeightedPath]]) -> Routing:
+def _all_pairs(graph: Graph, rule: Callable[[int], list[list[WeightedPath]]]) -> Routing:
     """Routing of ``graph`` that sends each ordered pair s != t along
-    ``rule(s, t)``, a list of (path, weight) pairs, in ascending order."""
+    ``rule(s)[t]``, a list of (path, weight) pairs, in ascending order."""
     n = graph.n
-    return Routing(
-        graph, {(s, t): rule(s, t) for s in range(n) for t in range(n) if s != t}
-    )
+    rows = enumerate(map(rule, range(n)))
+    return Routing(graph, {(s, t): row[t] for s, row in rows for t in range(n) if t != s})
+
+
+def _prefix_table(start: int, d: int, shift: int = 0) -> list[Path]:
+    """``table[x]``: the bit-fixing walk in Q_d from ``start`` to ``start ^ x``,
+    less ``shift`` at each vertex.  It fixes coordinate k (bit d-1-k) left to
+    right, so it extends the walk to x with its lowest bit cleared."""
+    table = [(start - shift,)]
+    for x in range(1, 1 << d):
+        table.append(table[x & (x - 1)] + ((start ^ x) - shift,))
+    return table
 
 
 def bitfix_routing(d: int) -> Routing:
     """All-pairs bit-fixing routing on Q_d; every arc carries 2^(d-1)."""
     check_dimension("cube", d)
-    return _all_pairs(hypercube(d), lambda s, t: [(_bitfix_path(s, t, d), ONE)])
+
+    def rule(s: int) -> list[list[WeightedPath]]:
+        table = _prefix_table(s, d)
+        return [[(table[s ^ t], ONE)] for t in range(1 << d)]
+
+    return _all_pairs(hypercube(d), rule)
 
 
 def punctured_routing(d: int) -> Routing:
@@ -254,14 +304,18 @@ def punctured_routing(d: int) -> Routing:
     check_dimension("punctured", d)
     allones = (1 << d) - 1
 
-    def rule(s: int, t: int) -> list[WeightedPath]:
-        path = list(_bitfix_path(s + 1, t + 1, d))
-        for pos in range(1, len(path) - 1):
-            if path[pos] == 0:
-                path[pos] = path[pos - 1] | path[pos + 1]
-            elif path[pos] == allones:
-                path[pos] = path[pos - 1] & path[pos + 1]
-        return [(tuple(v - 1 for v in path), ONE)]
+    def rule(s: int) -> list[list[WeightedPath]]:
+        start = s + 1
+        table = _prefix_table(start, d, 1)
+        # a walk through the removed vertex start ^ r extends the walk to r, which
+        # ends there at position popcount(r): x = r + 1 .. r + lowbit(r) - 1
+        for r, patch in ((start, or_), (allones ^ start, and_)):
+            pos = bin(r).count("1")
+            for x in range(r + 1, r + (r & -r)):
+                path = table[x]
+                vertex = patch(path[pos - 1] + 1, path[pos + 1] + 1) - 1
+                table[x] = path[:pos] + (vertex,) + path[pos + 1:]
+        return [[(table[start ^ (t + 1)], ONE)] for t in range(allones - 1)]
 
     return _all_pairs(induced_subgraph(hypercube(d), range(1, allones)), rule)
 
@@ -275,13 +329,13 @@ def hexagon_routing() -> Routing:
     flow, so the congestion is 3/4.
     """
 
-    def rule(s: int, t: int) -> list[WeightedPath]:
+    def split(s: int, t: int) -> list[WeightedPath]:
         walks = [tuple((s + step * k) % 6 for k in range(step * (t - s) % 6 + 1))
                  for step in (1, -1)]
         shortest = [walk for walk in walks if len(walk) == min(map(len, walks))]
         return [(walk, ONE / len(shortest)) for walk in shortest]
 
-    return _all_pairs(cycle_graph(6), rule)
+    return _all_pairs(cycle_graph(6), lambda s: [split(s, t) for t in range(6)])
 
 
 def product_routing(rg: Routing, rh: Routing) -> Routing:

@@ -680,3 +680,25 @@ def test_usage_errors(capsys):
     assert main(["bogus"]) == 2
     assert main([]) == 2
     assert main(["sparsecut"]) == 2  # --d is required
+
+
+def test_one_parser_serves_requests_after_a_usage_error(capsys, tmp_path):
+    graph = write_json(tmp_path, "c5.json", cycle_graph(5).to_json())
+    gens = write_json(tmp_path, "hex.json", HEX_GENS)
+    requests = [
+        ["flow", "--family", "cube", "--d", "2"],
+        ["flow", "--family", "hexagon", "--routing", "--format", "text"],
+        ["zono", "--action", "check", "--in", gens],
+        ["graph", "--action", "expansion", "--in", graph],
+        ["flow", "--family", "cube"],  # exit 2 after parsing: --d is required
+    ]
+    first = []
+    for argv in requests:
+        build_parser.cache_clear()
+        first.append(run(capsys, *argv))
+    assert [code for code, _, _ in first] == [0, 0, 0, 0, 2]
+    build_parser.cache_clear()
+    assert run(capsys, "flow", "--family", "cube", "--d", "x")[0] == 2
+    parser = build_parser()
+    assert [run(capsys, *argv) for argv in requests] == first
+    assert build_parser() is parser

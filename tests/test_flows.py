@@ -49,6 +49,8 @@ def test_validate_bad_weight_sum():
     (path, _), = paths[(0, 1)]
     paths[(0, 1)] = [(path, Fraction(1, 2))]
     assert "sum" in validate(Routing(r.graph, paths))
+    paths[(0, 1)] = [(path, Fraction(1))] * 2
+    assert validate(Routing(r.graph, paths)) == "demand (0, 1) weights sum to 2, not 1"
 
 
 def test_validate_non_edge():
@@ -407,7 +409,12 @@ def _mutate(routing, rng):
     elif kind == "non-edge":
         g = routing.graph
         far = [v for v in range(n) if v != s and v != t and not g.has_edge(s, v)]
-        paths[key][idx] = (((s, far[0]) + path[1:]) if far else (s, n + 1, t), weight)
+        if n - 1 in path[1:-1]:
+            # an array indexed with -1 would read it as vertex n - 1
+            path = tuple(-1 if v == n - 1 else v for v in path)
+        else:
+            path = ((s, far[0]) + path[1:]) if far else (s, n + 1, t)
+        paths[key][idx] = (path, weight)
     else:
         extra = rng.choice([Fraction(1, 3), Fraction(-1, 4), Fraction(1, 2)])
         paths[key].append((path, extra))
@@ -440,8 +447,12 @@ def test_flows_match_fraction_reference_on_mutations():
         # the reverse: a bad sum first, an off-graph arc (001 -> 111) in (1, 2)
         ([((5, 4), Fraction(1, 2))], [((1, 7, 2), Fraction(1))],
          "demand (1, 2) path 0 uses a non-edge (1, 7)"),
+        # an empty path after one ending at the target, before one leaving the source
+        ([((5, 4), Fraction(1))],
+         [((1, 3, 2), Fraction(1, 2)), ((), Fraction(1, 4)), ((1, 3, 2), Fraction(1, 4))],
+         "demand (1, 2) path 1 has wrong endpoints"),
     ],
-    ids=["arc-inserted-first", "sum-inserted-first"],
+    ids=["arc-inserted-first", "sum-inserted-first", "empty-path"],
 )
 def test_validate_names_the_first_violation_in_sorted_order(later, earlier, message):
     r = bitfix_routing(3)
@@ -459,10 +470,18 @@ def test_mixed_denominators():
     paths[(0, 1)] = [((0, 1), Fraction(1, 3)), ((0, 2, 1), Fraction(2, 3))]
     paths[(1, 2)] = [((1, 2), Fraction(1, 2)), ((1, 0, 2), Fraction(1, 4)),
                      ((1, 2), Fraction(1, 4))]
+    # denominators beyond 64 bits are summed and tallied exactly
+    tiny = Fraction(1, 2**70)
+    paths[(2, 1)] = [((2, 0, 1), tiny), ((2, 1), 1 - tiny)]
     routing = Routing(g, paths)
     assert validate(routing) is None
     assert arc_flows(routing)[(0, 2)] == 1 + Fraction(2, 3) + Fraction(1, 4)
+    assert arc_flows(routing)[(2, 0)] == 1 + tiny
     _assert_matches_reference(routing)
+    paths[(2, 1)] = [((2, 0, 1), tiny), ((2, 1), 1 - 2 * tiny)]
+    assert validate(routing) == "demand (2, 1) weights sum to %s, not 1" % (1 - tiny)
+    _assert_matches_reference(routing)
+    paths[(2, 1)] = [((2, 1), Fraction(1))]
     paths[(2, 0)] = [((2, 0), Fraction(1, 3)), ((2, 0), Fraction(1, 2))]
     assert validate(routing) == "demand (2, 0) weights sum to 5/6, not 1"
     _assert_matches_reference(routing)
@@ -566,6 +585,14 @@ def _reference_product_routing(rg, rh):
 def _assert_same_routing(routing, reference):
     assert routing.paths == reference.paths
     assert routing.graph == reference.graph
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_bitfix_routing_matches_reference(d):
+    n = 1 << d
+    paths = {(s, t): [(_bitfix_reference_path(s, t, d), Fraction(1))]
+             for s in range(n) for t in range(n) if s != t}
+    _assert_same_routing(bitfix_routing(d), Routing(hypercube(d), paths))
 
 
 @pytest.mark.parametrize("d", range(3, 9))
