@@ -212,11 +212,13 @@ def _emit(args, payload: dict, graph: Optional[Graph]) -> None:
                 payload = dict(payload, approx=approx)
         text = _dumps(dict(payload, routing="\0") if routing else payload, "\n")
         end, indent = "\n", "\n  "
-    head, hole, tail = text.partition("\0" if indent is None else _string("\0"))
+    # the NUL is the last one: only vertex_count, an integer, comes after it
+    head, _, tail = (text.rpartition("\0" if indent is None else _string("\0"))
+                     if routing else (text, "", ""))
 
     def write(fh) -> None:
         fh.write(head)
-        if hole:
+        if routing:
             fh.writelines(_routing_json(routing, indent))
         fh.writelines((tail, end))
 

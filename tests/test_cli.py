@@ -511,7 +511,8 @@ def test_graph_product_dot(capsys, tmp_path):
 _DOT_ID = r'"((?:[^"\\]|\\.)*)"'
 
 
-@pytest.mark.parametrize("label", ['a"b', "b\\"], ids=["quote", "trailing-backslash"])
+@pytest.mark.parametrize("label", ['a"b', "b\\", "a\0b"],
+                         ids=["quote", "trailing-backslash", "nul"])
 def test_graph_product_dot_quotes_labels(capsys, tmp_path, label):
     a = write_json(tmp_path, "a.json", make_graph([label, "c"], [(0, 1)]).to_json())
     b = write_json(tmp_path, "b.json", make_graph(["x"], []).to_json())
