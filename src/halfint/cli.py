@@ -4,12 +4,13 @@ Four subcommands cover the polytope family, zonotope recognition, flow
 congestion, and raw graph utilities.  Output is deterministic byte for
 byte: JSON keys are sorted, lists are sorted by construction, and all
 numbers are exact rational strings (``--approx`` adds a decimal
-rendering next to them for human readers).  One writer, ``_dumps``,
-encodes every JSON value, indented for JSON reports and compact inside
-text reports; a routing embedded with ``flow --routing`` is written
-straight from its index paths, each label encoded once, and a demand
-at a time into its place in the rest of the report, so the writer never
-holds the whole report.
+rendering next to them for human readers).  One writer, ``_report``,
+writes every report in pieces: a JSON object or text lines, one
+top-level entry at a time in sorted key order, each value encoded by
+``_dumps`` (indented in JSON reports, compact in text reports).  A
+routing embedded with ``flow --routing`` is written in its place,
+straight from its index paths, each label encoded once and a demand at
+a time, so the writer never holds the whole report.
 
 Each request takes one path: parse, refuse, compute, emit once.  Only
 the three reports that carry a graph (sparsecut skeleton, zono
@@ -17,9 +18,10 @@ recognize, graph product) render as DOT.  ``--format dot`` on any other
 report, and ``--in2`` outside graph product, are refused before any
 input is read.
 
-Exit codes: 0 on success, 2 for usage or desk-scale guard violations,
-3 when a mathematical precondition fails (e.g. recognizing a zonotope
-that is not half-integral).
+Exit codes: 0 on success, 2 for usage or desk-scale guard violations
+and for output that cannot be written, 3 when a mathematical
+precondition fails (e.g. recognizing a zonotope that is not
+half-integral).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import functools
 import json
 import re
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 from math import prod
@@ -114,20 +117,6 @@ def _approx_map(payload, prefix: str = "") -> dict[str, str]:
     return out
 
 
-def _render_text(payload: dict, approx: bool) -> str:
-    lines = []
-    for key in sorted(payload):
-        value = payload[key]
-        if isinstance(value, (dict, list)):
-            rendered = _dumps(value)
-        else:
-            rendered = str(value)
-        if approx and isinstance(value, str) and _RATIONAL.match(value):
-            rendered += " (~%s)" % _approx(value)
-        lines.append("%s: %s" % (key, rendered))
-    return "\n".join(lines) + "\n"
-
-
 def _dumps(value, indent: Optional[str] = None) -> str:
     """``json.dumps(value, sort_keys=True)`` byte for byte, or with a
     newline for ``indent`` ``json.dumps(value, sort_keys=True, indent=2)``,
@@ -196,38 +185,42 @@ def _routing_json(routing: Routing, indent: Optional[str]) -> Iterator[str]:
     yield "".join((closed, seps[1], '"graph": ', graph, pads[0], "}"))
 
 
-def _emit(args, payload: dict, graph: Optional[Graph]) -> None:
-    # A routing is rendered as a NUL, and its demands are written one at a
-    # time in that place; JSON's final newline is written on its own.
-    # Joining them to the rest would hold a multi-megabyte report twice.
-    routing, end, indent = payload.get("routing"), "", None
+def _report(args, payload: dict, graph: Optional[Graph]) -> Iterator[str]:
+    """The report in pieces: one top-level entry at a time, keys sorted,
+    and a routing a demand at a time in its place."""
     if args.format == "dot":
-        text = graph.to_dot()
-    elif args.format == "text":
-        text = _render_text(dict(payload, routing="\0") if routing else payload, args.approx)
-    else:
-        if args.approx:
-            approx = _approx_map(payload)
-            if approx:
-                payload = dict(payload, approx=approx)
-        text = _dumps(dict(payload, routing="\0") if routing else payload, "\n")
-        end, indent = "\n", "\n  "
-    # the NUL is the last one: only vertex_count, an integer, comes after it
-    head, _, tail = (text.rpartition("\0" if indent is None else _string("\0"))
-                     if routing else (text, "", ""))
-
-    def write(fh) -> None:
-        fh.write(head)
-        if routing:
-            fh.writelines(_routing_json(routing, indent))
-        fh.writelines((tail, end))
-
-    if args.out is None or args.out == "-":
-        write(sys.stdout)
+        yield graph.to_dot()
         return
+    text = args.format == "text"
+    if args.approx and not text:
+        approx = _approx_map(payload)
+        if approx:
+            payload = dict(payload, approx=approx)
+    indent = None if text else "\n  "
+    first, sep, close = ("", "\n", "\n") if text else ("{", ",", "\n}\n")
+    for k, key in enumerate(sorted(payload)):
+        value = payload[key]
+        head = (sep if k else first) + (key if text else indent + _string(key)) + ": "
+        if isinstance(value, Routing):
+            yield head
+            yield from _routing_json(value, indent)
+        elif not text:
+            yield head + _dumps(value, indent)
+        elif isinstance(value, (dict, list)):
+            yield head + _dumps(value)
+        elif args.approx and isinstance(value, str) and _RATIONAL.match(value):
+            yield "%s%s (~%s)" % (head, value, _approx(value))
+        else:
+            yield head + str(value)
+    yield close
+
+
+def _emit(args, payload: dict, graph: Optional[Graph]) -> None:
+    to_stdout = args.out is None or args.out == "-"
     try:
-        with open(args.out, "w") as fh:
-            write(fh)
+        with nullcontext(sys.stdout) if to_stdout else open(args.out, "w") as fh:
+            fh.writelines(_report(args, payload, graph))
+            fh.flush()
     except OSError as exc:
         raise UsageError("cannot write output: %s" % exc)
 

@@ -1,8 +1,11 @@
 """End-to-end command-line checks: goldens, exit codes, determinism."""
 
+import errno
 import io
 import json
+import os
 import re
+import sys
 
 import pytest
 
@@ -559,6 +562,19 @@ def test_out_unwritable(capsys, tmp_path, target):
     assert code == 2 and out == ""
     assert err.startswith("error: cannot write output: ") and str(path) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("error", [errno.ENOSPC, errno.EPIPE], ids=["full", "closed-pipe"])
+def test_stdout_unwritable(capsys, monkeypatch, error):
+    class Unwritable(io.StringIO):
+        def write(self, text):
+            raise OSError(error, os.strerror(error))
+
+    monkeypatch.setattr(sys, "stdout", Unwritable())
+    code = main(["flow", "--family", "punctured", "--d", "3", "--routing"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: cannot write output: [Errno %d] %s\n" % (error, os.strerror(error))
 
 
 def test_approx_json(capsys):

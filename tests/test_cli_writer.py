@@ -1,11 +1,14 @@
 """The CLI's JSON writer matches ``json.dumps(..., sort_keys=True)``, compact
 and with ``indent=2``, byte for byte, on arbitrary values and on full
-``flow --routing`` reports, and a routing written from its index paths
-matches its nested-dict form in JSON, text and ``--approx`` reports;
+``flow --routing`` reports; every report shape, in JSON and text, matches
+a stdlib rendering, with a routing written from its index paths matching
+its nested-dict form; a routing report is written a demand at a time;
 nine routing reports are pinned by their sha256."""
 
 import hashlib
+import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -81,12 +84,13 @@ def _nested_routing(routing):
     return {"graph": routing.graph.to_json(), "demands": demands}
 
 
-def _reference_flow_report(argv):
-    """The ``flow`` report with its routing as nested dicts, encoded by the
-    stdlib: JSON at indent 2, or text lines with compact JSON values."""
-    args = build_parser().parse_args(["flow", *argv])
+def _reference_report(argv):
+    """The report of ``argv``, with a routing as nested dicts, encoded by
+    the stdlib: JSON at indent 2, or text lines with compact JSON values."""
+    args = build_parser().parse_args(argv)
     payload, _ = args.func(args)
-    payload = dict(payload, routing=_nested_routing(payload["routing"]))
+    if "routing" in payload:
+        payload = dict(payload, routing=_nested_routing(payload["routing"]))
     if args.format == "text":
         lines = []
         for key, value in sorted(payload.items()):
@@ -120,14 +124,50 @@ _ROUTED = (
 )
 
 
-@pytest.mark.parametrize("argv", _ROUTED, ids=" ".join)
+# Every other report shape, in JSON and in text: booleans and null (a
+# rejected zonotope), nested objects (recognize, product), integers and
+# rationals.  HEX, OCT and GRAPH stand for input files.
+_SHAPES = [
+    (*argv, *fmt)
+    for argv in (
+        ("sparsecut", "--d", "3", "--report", "counts"),
+        ("sparsecut", "--d", "7", "--report", "cut"),
+        ("sparsecut", "--d", "3", "--report", "skeleton"),
+        ("zono", "--action", "vertices", "--in", "HEX"),
+        ("zono", "--action", "check", "--in", "HEX"),
+        ("zono", "--action", "check", "--in", "OCT"),
+        ("zono", "--action", "recognize", "--in", "HEX"),
+        ("zono", "--action", "realize", "--in", "GRAPH"),
+        ("graph", "--action", "expansion", "--in", "GRAPH"),
+        ("graph", "--action", "product", "--in", "GRAPH", "--in2", "GRAPH"),
+        ("flow", "--family", "cube", "--d", "3"),
+    )
+    for fmt in ((), ("--format", "text"), ("--approx",), ("--format", "text", "--approx"))
+]
+_INPUTS = {
+    "HEX": {"dim": 3, "generators": [["1/2", "-1/2", "0"], ["0", "1/2", "-1/2"],
+                                     ["1/2", "0", "-1/2"]]},
+    "OCT": {"dim": 2, "generators": [["1/3", "0"], ["0", "1/3"], ["1/3", "1/3"],
+                                     ["1/3", "-1/3"]]},
+    "GRAPH": {"labels": ["a", "b", "c", "d", "e"],
+              "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [pytest.param(("flow", *argv, "--routing"), id=" ".join(argv)) for argv in _ROUTED]
+    + [pytest.param(argv, id=" ".join(argv)) for argv in _SHAPES],
+)
 def test_routing_writer_matches_nested_dict_reference(capsys, tmp_path, argv):
-    argv = (*argv, "--routing")
-    expected = _reference_flow_report(argv)
-    assert main(["flow", *argv]) == 0
+    for name, data in _INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    argv = [str(tmp_path / arg) if arg in _INPUTS else arg for arg in argv]
+    expected = _reference_report(argv)
+    assert main(argv) == 0
     assert capsys.readouterr().out == expected
     target = tmp_path / "report.json"
-    assert main(["flow", *argv, "--out", str(target)]) == 0
+    assert main([*argv, "--out", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert target.read_text() == expected
 
@@ -164,3 +204,20 @@ def test_routing_report_digests(capsys, argv, size, digest):
     assert main(["flow", *argv.split(), "--routing"]) == 0
     out = capsys.readouterr().out.encode()
     assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
+
+
+def test_routing_report_is_written_in_pieces(monkeypatch):
+    pieces = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            pieces.append(text)
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(["flow", "--family", "punctured", "--d", "5", "--routing"]) == 0
+    report = "".join(pieces).encode()
+    digest = {argv: digest for argv, _, digest in _PINNED_REPORTS}["--family punctured --d 5"]
+    assert len(pieces) >= 870  # one per demand of the 30-vertex punctured cube
+    assert 16 * max(map(len, pieces)) < len(report)
+    assert hashlib.sha256(report).hexdigest() == digest
