@@ -225,18 +225,29 @@ def _emit(args, payload: dict, graph: Optional[Graph]) -> None:
         raise UsageError("cannot write output: %s" % exc)
 
 
-def _load_json(path: Optional[str]):
+def _load_json(path: Optional[str], what: str):
+    """The JSON value at ``path`` (stdin for None or ``-``); an object
+    that repeats a key is refused rather than keeping its last value."""
+
+    def unique(pairs):
+        data = {}
+        for key, value in pairs:
+            if key in data:
+                raise UsageError("malformed %s input: key %r repeats" % (what, key))
+            data[key] = value
+        return data
+
     try:
         if path is None or path == "-":
-            return json.load(sys.stdin)
+            return json.load(sys.stdin, object_pairs_hook=unique)
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise UsageError("cannot read input: %s" % exc)
 
 
 def _load(path: Optional[str], parse, what: str):
-    data = _load_json(path)
+    data = _load_json(path, what)
     if not isinstance(data, dict):
         raise UsageError("malformed %s input: the input is not a JSON object" % what)
     try:

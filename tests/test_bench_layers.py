@@ -1,0 +1,47 @@
+"""The layer harness ``tools/bench_layers.py``: alternation and refusal."""
+
+import importlib.util
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+from halfint import graphs
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py"
+_SPEC = importlib.util.spec_from_file_location("bench_layers", _PATH)
+bench_layers = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_layers)
+
+
+def test_sides_alternate_and_results_come_back_in_repeat_order(monkeypatch):
+    monkeypatch.setattr(bench_layers, "REPEATS", 4)
+    calls = []
+
+    def side(name):
+        def run():
+            calls.append(name)
+            return len(calls)
+        return run
+
+    results = bench_layers.alternate([side("A"), side("B")])
+    assert "".join(calls) == "ABBAABBA"
+    assert results == [[1, 4, 5, 8], [2, 3, 6, 7]]
+
+
+def test_expansion_layer_refuses_a_different_witness_before_timing(monkeypatch):
+    def untimed(*args):
+        pytest.fail("a layer whose sides differ was timed")
+
+    monkeypatch.setattr(bench_layers, "alternate", untimed)
+    monkeypatch.setattr(bench_layers, "clock", untimed)
+
+    def other_witness(graph):
+        value, report = graphs.expansion_bruteforce(graph)
+        return value, SimpleNamespace(subset=report.subset[1:], boundary_size=report.boundary_size)
+
+    stub = SimpleNamespace(graphs=SimpleNamespace(
+        cycle_graph=graphs.cycle_graph, make_graph=graphs.make_graph,
+        expansion_bruteforce=other_witness))
+    with pytest.raises(SystemExit, match="C20"):
+        bench_layers.measure_expansion([SimpleNamespace(graphs=graphs), stub])

@@ -453,6 +453,30 @@ def test_input_missing_a_key(capsys, tmp_path, command, data, message):
     assert err == "error: malformed %s\n" % message
 
 
+_REPEATED_KEY = {
+    "graph": ('{"labels": ["a", "b", "c"], "edges": [[0, 1], [1, 2], [2, 0]], '
+              '"edges": [[0, 1]]}', "edges"),
+    "generator": ('{"dim": 1, "generators": [["1"]], "generators": [["1"], ["2"]]}',
+                  "generators"),
+}
+
+
+@pytest.mark.parametrize("what, command", [*_READERS, ("graph", ("graph", "--action", "product"))],
+                         ids=["graph-expansion", "zono-realize", "zono-check", "zono-recognize",
+                              "graph-product-in2"])
+def test_input_with_a_repeated_key(capsys, tmp_path, what, command):
+    text, key = _REPEATED_KEY[what]
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    inputs = ["--in", str(path)]
+    if "product" in command:
+        valid = write_json(tmp_path, "a.json", make_graph(["a0", "a1"], [(0, 1)]).to_json())
+        inputs = ["--in", valid, "--in2", str(path)]
+    code, out, err = run(capsys, *command, *inputs)
+    assert code == 2 and out == ""
+    assert err == "error: malformed %s input: key '%s' repeats\n" % (what, key)
+
+
 def test_graph_product_rejects_a_second_input_that_is_not_an_object(capsys, tmp_path):
     a = write_json(tmp_path, "a.json", make_graph(["a0", "a1"], [(0, 1)]).to_json())
     b = write_json(tmp_path, "b.json", ["a0", "a1"])
