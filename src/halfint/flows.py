@@ -8,13 +8,14 @@ rho certifies edge expansion at least 1/(2 rho): each boundary edge of
 a cut {S, V-S} carries at most 2 rho n flow across, while the demand
 separated by the cut is at least |S| (n - |S|) >= |S| n / 2.
 
-Validation and arc flows read one flat view of the routing, every path
-vertex in one integer array, and tally weights in integers over one
-common denominator, the least common multiple of the weight
-denominators; only the reported per-arc flows are turned back into
-fractions.  The demands' completeness is read from their count and index
-ranges.  Only a routing the flat view does not confirm is walked in
-Python, in sorted demand order, to name its first violation.
+Validation and arc flows read one flat view of the routing: demand
+endpoints and path vertices through ``operator.index``, weights through
+``as_integer_ratio()`` and tallied in integers over their least common
+denominator; only the reported per-arc flows become fractions again.
+Completeness is read from the endpoint array: n (n - 1) keys in range
+that fill every pair.  Only a routing the view does not confirm is walked
+in Python, by the same rules in sorted demand order, to name its first
+violation.
 
 Three all-pairs constructions are a graph plus a rule for one source:
 the hypercube Q_d with bit-fixing; Q_d minus two antipodal vertices (the
@@ -54,32 +55,34 @@ class Routing:
     paths: dict[tuple[int, int], list[WeightedPath]]
 
 
-def _violation(
-    s: int, t: int, entries: list[WeightedPath], scale: int, arcs: set
-) -> Optional[str]:
-    """First violation within demand (s, t), in path order."""
+def _violation(graph: Graph, s: int, t: int, entries: list[WeightedPath]) -> Optional[str]:
+    """First violation within demand (s, t), in path order, read by the flat
+    view's rules: weights through ``as_integer_ratio()``, summed exactly,
+    and vertices through ``operator.index``."""
     if not entries:
         return "demand (%d, %d) has no paths" % (s, t)
-    total = 0
+    total = Fraction(0)
     for idx, (path, weight) in enumerate(entries):
-        num, den = weight.as_integer_ratio()
-        scaled = num * (scale // den)
-        if scaled <= 0:
+        try:
+            num, den = weight.as_integer_ratio()
+        except (AttributeError, ValueError, OverflowError):
+            return "demand (%d, %d) path %d weight %r has no integer ratio" % (s, t, idx, weight)
+        if num <= 0:
             return "demand (%d, %d) path %d has non-positive weight" % (s, t, idx)
-        total += scaled
+        total += Fraction(num, den)
+        bad = [v for v in path if not hasattr(type(v), "__index__")]  # what index takes
+        if bad:
+            return "demand (%d, %d) path %d has non-integer vertex %r" % (s, t, idx, bad[0])
+        path = tuple(map(index, path))
         if len(path) < 2 or path[0] != s or path[-1] != t:
             return "demand (%d, %d) path %d has wrong endpoints" % (s, t, idx)
         if len(set(path)) != len(path):
             return "demand (%d, %d) path %d repeats a vertex" % (s, t, idx)
-        if not arcs.issuperset(zip(path, path[1:])):
-            a, b = next(arc for arc in zip(path, path[1:]) if arc not in arcs)
-            return "demand (%d, %d) path %d uses a non-edge (%d, %d)" % (
-                s, t, idx, a, b
-            )
-    if total != scale:
-        return "demand (%d, %d) weights sum to %s, not 1" % (
-            s, t, Fraction(total, scale)
-        )
+        for a, b in zip(path, path[1:]):
+            if not graph.has_edge(a, b):
+                return "demand (%d, %d) path %d uses a non-edge (%d, %d)" % (s, t, idx, a, b)
+    if total != 1:
+        return "demand (%d, %d) weights sum to %s, not 1" % (s, t, total)
     return None
 
 
@@ -109,22 +112,29 @@ def _flat(paths: dict) -> tuple:
 
 
 def _confirmed(paths: dict, graph: Graph) -> bool:
-    """Whether the flat view shows the paths and weights of ``paths``, all
-    demands on ``graph``, valid; False leaves the verdict to ``_violation``."""
+    """Whether the flat view shows ``paths`` valid on ``graph``: n (n - 1)
+    demand keys that fill every pair, and valid paths and weights; False
+    leaves the verdict to the walk in ``validate``."""
     n = graph.n
+    if not paths or len(paths) != n * (n - 1):
+        return False
     try:
+        ends = np.fromiter(map(index, chain.from_iterable(paths)), np.int64, 2 * len(paths))
         counts, lengths, scale, scaled, classes, vertices, within = _flat(paths)
-    except (TypeError, OverflowError):
+    except (AttributeError, TypeError, ValueError, OverflowError):
         return False
     # in range before any fancy indexing: numpy would wrap -1 around
-    if not (counts.all() and lengths.min() > 1 and vertices.min() >= 0 and vertices.max() < n):
+    if not (counts.all() and lengths.min() > 1 and min(vertices.min(), ends.min()) >= 0
+            and max(vertices.max(), ends.max()) < n):
         return False
-    ends = np.fromiter(chain.from_iterable(paths), np.int64, 2 * len(paths)).reshape(-1, 2)
+    ends = ends.reshape(-1, 2)
+    demanded = np.eye(n, dtype=bool)  # n (n - 1) keys fill the rest only if all distinct
+    demanded[ends[:, 0], ends[:, 1]] = True
     ends, last = ends[np.repeat(np.arange(len(paths)), counts)], np.cumsum(lengths) - 1
     adjacent = np.zeros((n, n), bool)
     tails, heads = np.array(list(graph.edges), np.intp).reshape(-1, 2).T
     adjacent[tails, heads] = adjacent[heads, tails] = True
-    if not ((vertices[last - lengths + 1] == ends[:, 0]).all()
+    if not (demanded.all() and (vertices[last - lengths + 1] == ends[:, 0]).all()
             and (vertices[last] == ends[:, 1]).all()
             and adjacent[vertices[:-1][within], vertices[1:][within]].all()):
         return False
@@ -142,28 +152,17 @@ def _confirmed(paths: dict, graph: Graph) -> bool:
 def validate(routing: Routing) -> Optional[str]:
     """First violation of the routing contract, in sorted demand order,
     or None when valid."""
-    g = routing.graph
-    n = g.n
-    paths = routing.paths
-    # the demands are distinct pairs: n (n - 1) of them in range are all of them
-    vertices = range(n)
-    if len(paths) != n * (n - 1) or not all(
-        s in vertices and t in vertices and s != t for s, t in paths
-    ):
-        expected = {(s, t) for s in range(n) for t in range(n) if s != t}
-        missing = expected - paths.keys()
-        if missing:
-            return "missing demand (%d, %d)" % min(missing)
-        return "unexpected demand (%d, %d)" % min(paths.keys() - expected)
-    if not paths or _confirmed(paths, g):
+    g, paths = routing.graph, routing.paths
+    if _confirmed(paths, g):
         return None
-    scale = lcm(*{w.denominator for entries in paths.values() for _, w in entries})
-    arcs = set(g.edges)
-    arcs.update([(b, a) for a, b in g.edges])
-    for (s, t) in sorted(paths):
-        problem = _violation(s, t, paths[(s, t)], scale, arcs)
-        if problem is not None:
-            return problem
+    expected = {(s, t) for s in range(g.n) for t in range(g.n) if s != t}
+    missing, extra = expected - paths.keys(), paths.keys() - expected
+    if missing:
+        return "missing demand (%d, %d)" % min(missing)
+    if extra:
+        return "unexpected demand (%d, %d)" % min(extra)
+    problems = (_violation(g, s, t, paths[s, t]) for s, t in sorted(paths))
+    return next(filter(None, problems), None)
 
 
 def arc_flows(routing: Routing) -> dict[tuple[int, int], Fraction]:

@@ -15,6 +15,7 @@ the result is exact; ties report the smallest bitmask.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -94,12 +95,15 @@ class Graph:
 
 
 def make_graph(labels: Sequence[str], edges: Iterable[tuple[int, int]]) -> Graph:
+    """Graph on ``labels``; each edge endpoint is stored as read by
+    ``operator.index`` (TypeError for a float or a string)."""
     labels = tuple(str(x) for x in labels)
     if len(set(labels)) != len(labels):
         raise ValueError("vertex labels must be distinct")
     n = len(labels)
     normalized = set()
     for u, v in edges:
+        u, v = operator.index(u), operator.index(v)
         if u == v:
             raise ValueError("self loop at vertex %d" % u)
         if not (0 <= u < n and 0 <= v < n):

@@ -5,7 +5,9 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +70,17 @@ def test_sparsecut_cut_golden(capsys):
     data = json.loads(out)
     assert data["ratio"] == "2/3"
     assert data["below_benchmark"] is False
+
+
+def test_module_entry_point_exits_with_main(capsys):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for d, status in (("3", 0), ("5", 2)):
+        argv = ["sparsecut", "--d", d, "--report", "cut"]
+        done = subprocess.run([sys.executable, "-m", "halfint.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        code, out, err = run(capsys, *argv)
+        assert (done.returncode, done.stdout, done.stderr) == (status, out, err)
+        assert code == status
 
 
 def test_sparsecut_invalid_dimension(capsys):

@@ -487,6 +487,52 @@ def test_mixed_denominators():
     _assert_matches_reference(routing)
 
 
+def _triangle_routing(entries):
+    """All demands of the triangle on their own edge at weight 1, but (0, 1)
+    on ``entries``."""
+    g = make_graph(["a", "b", "c"], [(0, 1), (1, 2), (0, 2)])
+    paths = {(s, t): [((s, t), Fraction(1))] for s in range(3) for t in range(3) if s != t}
+    paths[(0, 1)] = entries
+    return Routing(g, paths)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([((0, 1), 0.1), ((0, 2, 1), 0.2), ((0, 1), 0.7)],
+         "demand (0, 1) weights sum to 36028797018963967/36028797018963968, not 1"),
+        ([((0, "x", 1), Fraction(1))], "demand (0, 1) path 0 has non-integer vertex 'x'"),
+        ([((0, 2.0, 1), Fraction(1))], "demand (0, 1) path 0 has non-integer vertex 2.0"),
+        ([((0, 1), float("nan"))], "demand (0, 1) path 0 weight nan has no integer ratio"),
+    ],
+    ids=["float-weights", "string-vertex", "float-vertex", "nan-weight"],
+)
+def test_validate_reads_vertices_and_weights_as_the_flat_view_does(entries, message):
+    routing = _triangle_routing(entries)
+    assert validate(routing) == message
+    with pytest.raises(ValueError) as info:
+        congestion(routing)
+    assert str(info.value) == "invalid routing: " + message
+
+
+def test_demand_keys_must_fill_every_pair():
+    triangle = _triangle_routing([])
+    # the flat view reads the keys (0, 1, 2) and (0,) as the pairs (0, 1) and
+    # (2, 0); every path matches its pair, but (2, 0) is read twice, (0, 2) never
+    paths = {(0, 1, 2): [((0, 1), Fraction(1))], (0,): [((2, 0), Fraction(1))]}
+    paths.update((key, entries) for key, entries in triangle.paths.items() if key[0] != 0)
+    assert validate(Routing(triangle.graph, paths)) == "missing demand (0, 1)"
+
+
+def test_one_vertex_routing_has_zero_congestion_and_no_bound():
+    routing = Routing(make_graph(["a"], []), {})
+    assert validate(routing) is None
+    report = congestion(routing)
+    assert report == CongestionReport(1, Fraction(0), Fraction(0), None)
+    with pytest.raises(ValueError, match="^lower bound requires positive congestion$"):
+        expansion_lower_bound(report)
+
+
 def test_argmax_tie_follows_labels_not_indices():
     # every arc carries 1; index order puts (0, 1) first, label order ("a", "z")
     g = make_graph(["z", "a", "m"], [(0, 1), (1, 2)])

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 
 from halfint.graphs import (
     MAX_EXPANSION_VERTICES,
+    Graph,
     cartesian_product,
     component_shapes,
     connected_components,
@@ -299,3 +301,36 @@ def test_cycle_path_profile():
     for summary in (component_shapes, cycle_path_profile):
         with pytest.raises(ValueError, match=r"^vertex 0 has degree 3 > 2$"):
             summary(star)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: cut_ratio(path_graph(3), [0, 3]), "subset contains out-of-range vertices"),
+        (lambda: is_isomorphic_via(path_graph(2), path_graph(2), {"0": "0"}),
+         "mapping keys must be exactly the labels of g"),
+        # onto the two labels of P_2, but two of P_3's labels share an image
+        (lambda: is_isomorphic_via(path_graph(3), path_graph(2), {"0": "0", "1": "1", "2": "0"}),
+         "mapping is not injective"),
+        (lambda: hypercube(0), "hypercube dimension must be positive"),
+        (lambda: cycle_graph(2), "a cycle needs at least three vertices"),
+        (lambda: path_graph(0), "a path needs at least one vertex"),
+        (lambda: induced_subgraph(path_graph(3), [0, 3]), "kept vertices out of range"),
+    ],
+    ids=["cut-range", "iso-keys", "iso-injective", "hypercube-0", "cycle-2", "path-0",
+         "induced-range"],
+)
+def test_argument_guards(call, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        call()
+
+
+def test_make_graph_reads_endpoints_as_indices():
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        make_graph("abc", [(0, 1.0), (1, 2)])
+    # an endpoint with __index__ is stored as an int, so the graph's JSON reads back
+    for edge in [(0, True), (np.int64(0), np.int64(1))]:
+        g = make_graph("abc", [edge, (1, 2)])
+        assert g.sorted_edges() == [(0, 1), (1, 2)]
+        assert all(type(v) is int for pair in g.edges for v in pair)
+        assert Graph.from_json(json.loads(json.dumps(g.to_json()))) == g

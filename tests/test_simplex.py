@@ -627,3 +627,24 @@ def test_start_refuses_an_infeasible_basic_solution(stop):
     # x0 = 1 alone leaves the first row's artificial at 1
     with pytest.raises(ValueError, match="no feasible basic solution"):
         lp_maximize(rows, rhs, objective, stop, start=(0,))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+@pytest.mark.parametrize(
+    "call, outcome",
+    [
+        # the empty system is feasible, with the empty witness
+        (lambda: lp_feasible([], []), ()),
+        (lambda: lp_maximize([], [], []),
+         "ValueError: maximization requires at least one constraint"),
+    ],
+    ids=["feasible-no-rows", "maximize-no-rows"],
+)
+def test_argument_guards(call, outcome):
+    assert _outcome(call) == outcome

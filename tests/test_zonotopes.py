@@ -450,3 +450,16 @@ def test_round_trip_all_unions_up_to_8_vertices():
         for i in range(len(supports)):
             for j in range(i + 1, len(supports)):
                 assert not (supports[i] & supports[j])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: canonicalize([], dim=0), "ambient dimension must be positive"),
+        (lambda: graphical_generators(make_graph([], [])), "graph must have at least one vertex"),
+    ],
+    ids=["dimension-0", "no-vertices"],
+)
+def test_argument_guards(call, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        call()

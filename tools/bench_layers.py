@@ -33,7 +33,6 @@ import argparse
 import gc
 import hashlib
 import importlib
-import importlib.util
 import io
 import json
 import os
@@ -186,12 +185,9 @@ def timed_pass(lib, corpus, sets: int) -> tuple[dict[str, float], list[float]]:
 
 
 def counted_pass(lib, corpus, sets: int) -> tuple[dict[str, int], list[int], str]:
-    """Pivots per phase, pivots per point set, and a digest of the values.
-
-    ``artificial_entries`` counts pivots in which an artificial enters;
-    a phase-2 pivot is ``phase2_artificial`` when an artificial leaves.
-    """
-    counts = dict.fromkeys((*PIVOT_KEYS, "artificial_entries"), 0)
+    """Pivots per phase, pivots per point set, and a digest of the values;
+    a phase-2 pivot is ``phase2_artificial`` when an artificial leaves."""
+    counts = dict.fromkeys(PIVOT_KEYS, 0)
     by_set = [0] * sets
     phase = ["phase2"]
     current = [0]
@@ -211,7 +207,6 @@ def counted_pass(lib, corpus, sets: int) -> tuple[dict[str, int], list[int], str
                 leaving = self.basis[pivot_row] >= self.n
                 key = "phase2_artificial" if leaving else "phase2_structural"
             counts[key] += 1
-            counts["artificial_entries"] += entering >= self.n
             by_set[current[0]] += 1
             return original(self, pivot_row, entering, *args)
         return run
@@ -274,7 +269,6 @@ def simplex_result(side, passes, full_s: list[float], edges: int) -> dict:
             "repeats": REPEATS,
             "us_per_lp": {key: per_lp_us(key) for key in ("phase1", "phase2", "total")},
             "pivots_per_lp": {key: round(counts[key] / lps, 3) for key in PIVOT_KEYS},
-            "artificial_entries": counts["artificial_entries"],
         },
         "per_point_set": [
             {
@@ -429,7 +423,6 @@ def main(argv=None) -> int:
     environment = {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "gmpy2": importlib.util.find_spec("gmpy2") is not None,
         "cores": os.cpu_count(),
         "machine": platform.machine(),
     }
