@@ -149,6 +149,15 @@ def _confirmed(paths: dict, graph: Graph) -> bool:
     return min(scaled) > 0 and bool((sums == scale).all())
 
 
+def _demand(key) -> Optional[tuple[int, int]]:
+    """``key`` read as the flat view reads a demand, a pair through ``operator.index``."""
+    try:
+        s, t = key
+        return index(s), index(t)
+    except (TypeError, ValueError):
+        return None
+
+
 def validate(routing: Routing) -> Optional[str]:
     """First violation of the routing contract, in sorted demand order,
     or None when valid."""
@@ -156,11 +165,13 @@ def validate(routing: Routing) -> Optional[str]:
     if _confirmed(paths, g):
         return None
     expected = {(s, t) for s in range(g.n) for t in range(g.n) if s != t}
-    missing, extra = expected - paths.keys(), paths.keys() - expected
+    found = set(map(_demand, paths))
+    missing, extra = expected - found, found - expected - {None}
     if missing:
         return "missing demand (%d, %d)" % min(missing)
-    if extra:
-        return "unexpected demand (%d, %d)" % min(extra)
+    if extra or None in found:  # an int pair first, then other keys in repr order
+        key = min(extra) if extra else min((k for k in paths if _demand(k) is None), key=repr)
+        return "unexpected demand %r" % (key,)
     problems = (_violation(g, s, t, paths[s, t]) for s, t in sorted(paths))
     return next(filter(None, problems), None)
 

@@ -13,13 +13,9 @@ is exact by Sylvester's identity.  Results leave as ``Fraction``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
-
-def _scaled(values: Sequence, den: int) -> list[int]:
-    """``den * values`` as integers; ``den`` is a multiple of every denominator."""
-    return [x.numerator * (den // x.denominator) for x in values]
+from .rationals import integer_rows
 
 
 def _eliminate(row: list[int], prow: list[int], column: int, det: int) -> list[int]:
@@ -37,13 +33,11 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form of a matrix.
 
     Returns ``(matrix, pivot_columns)``; the input is left untouched.
-    The rows are scaled to integers, each pivot (the first nonzero entry
-    at or below the current row) is eliminated above and below, and the
-    last pivot divides every entry once, at the end.
+    The rows are scaled to integers by ``integer_rows``, each pivot (the
+    first nonzero entry at or below the current row) is eliminated above
+    and below, and the last pivot divides every entry once, at the end.
     """
-    fracs = [[Fraction(x) for x in row] for row in rows]
-    den = lcm(*{x.denominator for row in fracs for x in row})
-    mat = [_scaled(row, den) for row in fracs]
+    _, mat = integer_rows([[Fraction(x) for x in row] for row in rows])
     pivots: list[int] = []
     det = 1
     for col in range(len(mat[0]) if mat else 0):

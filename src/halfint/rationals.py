@@ -10,13 +10,15 @@ produces; points are rendered with ``str`` on each coordinate, since a
 
 No floating point enters any computation.  The hot loops (row
 reduction, the simplex tableau, the skeleton oracle) scale their
-rationals to integers by a common denominator.
+rationals to integers by ``integer_rows``.  Zonotope enumeration still
+passes ``Fraction``s: scaling once there is a speed change left for later.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 ZERO = Fraction(0)
@@ -42,6 +44,13 @@ def rational_from_str(text: str) -> Fraction:
     if not _RATIONAL_RE.match(text):
         raise ValueError("not p/q or p in ASCII digits, q nonzero: %r" % text)
     return Fraction(text)
+
+
+def integer_rows(rows: Sequence[Sequence], factor: int = 1) -> tuple[int, list[list[int]]]:
+    """``(scale, rows times scale as Python ints)``, ``scale`` being ``factor``
+    times the lcm of the (int or ``Fraction``) entries' denominators."""
+    scale = factor * lcm(*{x.denominator for row in rows for x in row})
+    return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
 
 
 def int_from_json(value, what: str) -> int:

@@ -8,12 +8,12 @@ system is infeasible, and an optimal value is exact.
 
 The tableau is fraction-free: it pivots with the Bareiss update that
 ``linalg`` holds (``_eliminate``).  The system is scaled by one common
-denominator, so the starting tableau ``[A | b]`` is integral, and from
-then on every entry is ``det`` times the entry of the rational tableau,
-where ``det > 0`` is the basis determinant up to sign.  A positive
-scale changes no sign and no ratio that Bland's rule reads, so the
-pivots are the ones a rational tableau takes.  Witnesses and values
-leave as ``Fraction``.
+denominator (``rationals.integer_rows``), so the starting tableau
+``[A | b]`` is integral, and from then on every entry is ``det`` times
+the entry of the rational tableau, where ``det > 0`` is the basis
+determinant up to sign.  A positive scale changes no sign and no ratio
+that Bland's rule reads, so the pivots are the ones a rational tableau
+takes.  Witnesses and values leave as ``Fraction``.
 
 Phase 1 starts from an artificial basis (determinant 1) that is markers
 only: no identity columns are stored, and only structural columns enter,
@@ -41,12 +41,10 @@ it can cost time but never change an answer.  Phase 2 runs from there.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
-from .linalg import _eliminate, _scaled
-
-_ZERO = Fraction(0)
+from .linalg import _eliminate
+from .rationals import ZERO, integer_rows
 
 
 class _Tableau:
@@ -63,14 +61,8 @@ class _Tableau:
         self.m = len(rows)
         self.n = len(rows[0]) if self.m else 0
         self.det = 1
-        den = lcm(
-            *{x.denominator for row in rows for x in row}, *{x.denominator for x in rhs}
-        )
-        self.rows: list[list[int]] = []
-        for i in range(self.m):
-            row = _scaled(rows[i], den)
-            row.append(rhs[i].numerator * (den // rhs[i].denominator))
-            self.rows.append(row if row[-1] >= 0 else [-x for x in row])
+        _, scaled = integer_rows([[*row, b] for row, b in zip(rows, rhs)])
+        self.rows = [row if row[-1] >= 0 else [-x for x in row] for row in scaled]
         self.basis = [self.n + i for i in range(self.m)]
 
     def pivot(self, pivot_row: int, entering: int, cost: Optional[list[int]] = None):
@@ -152,7 +144,7 @@ class _Tableau:
             raise ValueError("start columns carry no feasible basic solution")
 
     def solution(self) -> tuple[Fraction, ...]:
-        witness = [_ZERO] * self.n
+        witness = [ZERO] * self.n
         for i, j in enumerate(self.basis):
             if j < self.n:
                 witness[j] = Fraction(self.rows[i][self.n], self.det)
@@ -201,12 +193,11 @@ def lp_maximize(
         return None
     # Minimize the negated objective, scaled to integers; reduced costs
     # relative to the current basis, negated value in the last slot.
-    den = lcm(*{c.denominator for c in objective})
-    cost = [-c for c in _scaled(objective, den)]
-    reduced = [tab.det * c for c in cost] + [0]
+    den, (scaled,) = integer_rows([objective])
+    reduced = [-tab.det * c for c in scaled] + [0]
     for i, j in enumerate(tab.basis):
-        if j < tab.n and cost[j]:
-            reduced = [a - cost[j] * b for a, b in zip(reduced, tab.rows[i])]
+        if j < tab.n and scaled[j]:
+            reduced = [a + scaled[j] * b for a, b in zip(reduced, tab.rows[i])]
     reduced = tab.minimize(reduced, stop_when_positive, hold_artificials=True)
     return Fraction(reduced[tab.n], tab.det * den), tab.solution()
 
@@ -228,7 +219,7 @@ def convex_combination(
     solution = lp_feasible(rows, rhs)
     if solution is None:
         return None
-    weights = [Fraction(0)] * len(points)
+    weights = [ZERO] * len(points)
     for idx, w in zip(active, solution):
         weights[idx] = w
     return weights

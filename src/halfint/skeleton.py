@@ -1,17 +1,17 @@
 """Vertex and edge structure of polytopes given as point sets.
 
 Everything is decided by exact linear programs, so the computed
-skeleton is a certificate, not an approximation.  The oracles scale the
-points once by ``2 * lcm(denominators)`` and work on integer tuples
-from then on; the scaling changes no convex relation between the
-points and makes every midpoint of two of them integral.  A point is a
-hull vertex iff it lies outside the convex hull of the remaining
-points.  Two vertices are adjacent iff every convex representation of
-their midpoint is supported on the pair alone; the weaker test that
-merely asks whether the midpoint avoids the hull of the *other*
-vertices is not sound here, because a diagonal of a non-simplicial
-facet can have a midpoint that needs one of its own endpoints in every
-representation.
+skeleton is a certificate, not an approximation.  Each oracle scales
+the points once, with ``rationals.integer_rows(points, factor=2)``, and
+works on integer rows from then on; the scaling changes no convex
+relation between the points and makes every midpoint of two of them
+integral.  A point is a hull vertex iff it lies outside the convex hull
+of the remaining points.  Two vertices are adjacent iff every convex
+representation of their midpoint is supported on the pair alone; the
+weaker test that merely asks whether the midpoint avoids the hull of the
+*other* vertices is not sound here, because a diagonal of a
+non-simplicial facet can have a midpoint that needs one of its own
+endpoints in every representation.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import pairwise
-from math import lcm
 from typing import Iterable, Sequence
 
 from .graphs import Graph, make_graph
-from .rationals import point_label, point_to_strs
+from .rationals import integer_rows, point_label, point_to_strs
 from .simplex import convex_combination, hull_system, lp_maximize, prune_candidates
 
 Point = tuple[Fraction, ...]
@@ -63,16 +62,10 @@ class PointSet:
         return cls(dim=dim, points=pts)
 
 
-def _integer_points(pset: PointSet) -> list[tuple[int, ...]]:
-    """The points scaled by ``2 * lcm(denominators)``: even integer tuples."""
-    scale = 2 * lcm(*{x.denominator for p in pset.points for x in p})
-    return [tuple(x.numerator * (scale // x.denominator) for x in p) for p in pset.points]
-
-
 def hull_vertices(pset: PointSet) -> list[int]:
     """Indices of the points that are vertices of the convex hull."""
     out = []
-    pts = _integer_points(pset)
+    _, pts = integer_rows(pset.points, factor=2)
     for i, p in enumerate(pts):
         others = pts[:i] + pts[i + 1 :]
         if convex_combination(p, others) is None:
@@ -80,9 +73,7 @@ def hull_vertices(pset: PointSet) -> list[int]:
     return out
 
 
-def _adjacent(
-    points: Sequence[tuple[int, ...]], i: int, j: int, target: tuple[int, ...]
-) -> bool:
+def _adjacent(points: Sequence[Sequence[int]], i: int, j: int, target: tuple[int, ...]) -> bool:
     """Whether vertices ``i`` and ``j``, with midpoint ``target``, span an edge.
 
     Decided by maximizing the total representation weight carried by
@@ -125,7 +116,7 @@ def hull_edges(pset: PointSet) -> list[tuple[int, int]]:
         raise ValueError(
             "not hull vertices: " + ", ".join(pset.labels[i] for i in bad)
         )
-    pts = _integer_points(pset)
+    _, pts = integer_rows(pset.points, factor=2)
     n = len(pts)
     sums: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for i in range(n):

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from halfint import graphs
+from halfint import graphs, zonotopes
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py"
 _SPEC = importlib.util.spec_from_file_location("bench_layers", _PATH)
@@ -45,3 +45,19 @@ def test_expansion_layer_refuses_a_different_witness_before_timing(monkeypatch):
         expansion_bruteforce=other_witness))
     with pytest.raises(SystemExit, match="C20"):
         bench_layers.measure_expansion([SimpleNamespace(graphs=graphs), stub])
+
+
+def test_zonotope_layer_refuses_a_different_vertex_list_before_timing(monkeypatch):
+    def untimed(*args):
+        pytest.fail("a layer whose sides differ was timed")
+
+    monkeypatch.setattr(bench_layers, "alternate", untimed)
+    monkeypatch.setattr(bench_layers, "clock", untimed)
+
+    def one_vertex_short(gs):
+        return zonotopes.vertices_with_signs(gs)[:-1]
+
+    stub = SimpleNamespace(zonotopes=SimpleNamespace(
+        canonicalize=zonotopes.canonicalize, vertices_with_signs=one_vertex_short))
+    with pytest.raises(SystemExit, match="half:5"):
+        bench_layers.measure_zonotope([SimpleNamespace(zonotopes=zonotopes), stub])

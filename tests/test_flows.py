@@ -524,6 +524,29 @@ def test_demand_keys_must_fill_every_pair():
     assert validate(Routing(triangle.graph, paths)) == "missing demand (0, 1)"
 
 
+@pytest.mark.parametrize(
+    "drop, add, message",
+    [
+        ([], [("a", 0)], "unexpected demand ('a', 0)"),
+        ([], [("a", 0), (0, 0)], "unexpected demand (0, 0)"),
+        # %d would print 1.5 as 1, a demand that is expected
+        ([], [(0, 1.5)], "unexpected demand (0, 1.5)"),
+        # (0, 1.0) == (0, 1) as a dict key, but the flat view reads no float
+        ([(0, 1)], [(0, 1.0)], "missing demand (0, 1)"),
+    ],
+    ids=["string-key", "string-and-loop-keys", "fractional-key", "float-key"],
+)
+def test_validate_reads_demand_keys_as_the_flat_view_does(drop, add, message):
+    routing = bitfix_routing(2)
+    paths = {key: entries for key, entries in routing.paths.items() if key not in drop}
+    paths.update((key, routing.paths[0, 1]) for key in add)
+    routing = Routing(routing.graph, paths)
+    assert validate(routing) == message
+    with pytest.raises(ValueError) as info:
+        congestion(routing)
+    assert str(info.value) == "invalid routing: " + message
+
+
 def test_one_vertex_routing_has_zero_congestion_and_no_bound():
     routing = Routing(make_graph(["a"], []), {})
     assert validate(routing) is None

@@ -6,6 +6,7 @@ from halfint.rationals import (
     HALF,
     ONE,
     ZERO,
+    integer_rows,
     midpoint,
     point_from_strs,
     point_label,
@@ -57,3 +58,25 @@ def test_vector_ops():
     v = (Fraction(1, 2), Fraction(0), Fraction(-1))
     assert midpoint(u, v) == (Fraction(3, 4), Fraction(1), Fraction(1))
 
+
+@pytest.mark.parametrize(
+    "rows, factor, scale, scaled",
+    [
+        ([[1, 2], [3, 0]], 1, 1, [[1, 2], [3, 0]]),
+        ([[Fraction(1, 2), Fraction(2, 3)], [Fraction(5, 6), Fraction(1)]], 1, 6,
+         [[3, 4], [5, 6]]),
+        ([[1, Fraction(1, 4)], [Fraction(3, 2), 0]], 1, 4, [[4, 1], [6, 0]]),
+        ([[Fraction(-1, 3), -2], [0, Fraction(-5, 6)]], 1, 6, [[-2, -12], [0, -5]]),
+        ([[Fraction(1, 2), 1]], 2, 4, [[2, 4]]),
+        ([], 1, 1, []),
+        ([], 2, 2, []),
+        ([[], []], 3, 3, [[], []]),
+    ],
+    ids=["ints", "fractions", "mixed", "negative", "factor-2", "no-rows",
+         "no-rows-factor-2", "empty-rows"],
+)
+def test_integer_rows(rows, factor, scale, scaled):
+    got_scale, got = integer_rows(rows, factor)
+    assert (got_scale, got) == (scale, scaled)
+    assert all(type(x) is int for row in got for x in row)
+    assert all(x == scale * y for row, out in zip(rows, got) for y, x in zip(row, out))

@@ -9,7 +9,8 @@ from typing import Optional, Sequence
 
 import pytest
 
-from halfint.linalg import _eliminate, _scaled
+from halfint.linalg import _eliminate
+from halfint.rationals import integer_rows
 from halfint.simplex import (
     _Tableau,
     convex_combination,
@@ -360,7 +361,7 @@ class _IdentityTableau:
         )
         self.rows: list[list[int]] = []
         for i in range(self.m):
-            row = _scaled(rows[i], den)
+            row = [x.numerator * (den // x.denominator) for x in rows[i]]
             b = rhs[i].numerator * (den // rhs[i].denominator)
             if b < 0:
                 row = [-x for x in row]
@@ -458,7 +459,7 @@ def _identity_solve(rows, rhs, objective=None, stop_when_positive=False):
         return tab.solution()
     tab.drop_artificials()
     den = lcm(*{c.denominator for c in objective})
-    cost = [-c for c in _scaled(objective, den)]
+    cost = [-c.numerator * (den // c.denominator) for c in objective]
     reduced = [tab.det * c for c in cost] + [0]
     for i, j in enumerate(tab.basis):
         if cost[j]:
@@ -527,6 +528,49 @@ def test_markers_only_tableau_matches_identity_tableau(monkeypatch):
                 _assert_witness(rows, rhs, witness)
                 assert _dot(objective, witness) == value
     assert reentries
+
+
+def _represents(weights, target, points) -> bool:
+    return (sum(weights) == 1 and min(weights) >= 0
+            and all(sum(w * p[k] for w, p in zip(weights, points)) == t
+                    for k, t in enumerate(target)))
+
+
+def test_scaling_keeps_every_verdict_and_optimum():
+    # What the callers that scale to integers rely on.  A positive scale of
+    # the target and the points keeps the membership verdict; the weights
+    # may differ, because the phase-1 costs sum the coordinate rows, which
+    # the scale weighs, with the unscaled row of ones.  An LP on the
+    # ``integer_rows`` image of its system is the same tableau, so it keeps
+    # its value and its witness.
+    rng = random.Random(2517)
+    for _ in range(300):
+        dim, n = rng.randint(1, 4), rng.randint(1, 8)
+        points = [[Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(dim)]
+                  for _ in range(n)]
+        if rng.random() < 0.7:
+            mix = [rng.randint(0, 3) for _ in points]
+            mix[0] += 1
+            target = [sum(w * p[k] for w, p in zip(mix, points)) / sum(mix) for k in range(dim)]
+        else:
+            target = [Fraction(rng.randint(-6, 6), rng.choice((1, 2))) for _ in range(dim)]
+        s = rng.choice((2, 3, 6, Fraction(5, 2), Fraction(1, 3)))
+        scaled_target, scaled = [s * t for t in target], [[s * x for x in p] for p in points]
+        weights = convex_combination(target, points)
+        scaled_weights = convex_combination(scaled_target, scaled)
+        assert (weights is None) == (scaled_weights is None)
+        if weights is not None:
+            assert _represents(weights, target, points)
+            assert _represents(scaled_weights, scaled_target, scaled)
+    systems = [_random_system(rng) for _ in range(200)]
+    systems += [_hull_shaped_system(rng) for _ in range(200)]
+    for rows, rhs, objective in systems:
+        _, image = integer_rows([[*row, b] for row, b in zip(rows, rhs)])
+        int_rows, int_rhs = [row[:-1] for row in image], [row[-1] for row in image]
+        for stop in (False, True):
+            assert _maximum(lambda: lp_maximize(rows, rhs, objective, stop), stop) == _maximum(
+                lambda: lp_maximize(int_rows, int_rhs, objective, stop), stop
+            )
 
 
 def test_redundant_row_keeps_its_artificial_basic(monkeypatch):

@@ -1,4 +1,4 @@
-"""Layer benchmarks for the paper's three results; writes ``BENCH_*.json``.
+"""Layer benchmarks for the paper's results; writes ``BENCH_*.json``.
 
 - ``simplex``: a seeded corpus of the skeleton oracle's adjacency LPs
   (full P_3, seeded P_7 vertex subsets and faces), recorded from
@@ -11,6 +11,10 @@
 - ``flows``: building, validating and tallying four flow certificates,
   and the ``flow`` request without and then with ``--routing`` in JSON,
   text and ``--approx``; ``render_*`` is the median of the differences.
+- ``zonotope``: ``vertices_with_signs`` on seeded generator sets of 5-8
+  generators, a cycle plus unit path generators, with cycle entries
+  +-1/2 (a half-integral zonotope) and +-1/3: 2^n hull-membership LPs
+  each, timed 2^(9 - n) calls at a time.
 
 Each figure is a median of ``REPEATS`` runs, each after a collection.
 One checkout's timings drift between processes by up to 2x on a shared
@@ -19,9 +23,10 @@ their ``src/`` into one process, alternates every timed call between
 them, the side that goes first swapping each repeat, and writes the
 other's figures to ``BENCH_<layer>.before.json``.  A layer whose sides
 give different answers (the corpus's skeleton edges, the scans'
-results, the ``--routing`` reports' digests) exits with a message
-naming the case before it is timed, and nothing is written for it; the
-d = 7 edge sets, which timed runs produce, are compared before writing:
+results, the ``--routing`` reports' digests, the zonotope vertex lists)
+exits with a message naming the case before it is timed, and nothing is
+written for it; the d = 7 edge sets, which timed runs produce, are
+compared before writing:
 
     python3 tools/bench_layers.py                       # BENCH_<layer>.json
     python3 tools/bench_layers.py --against PARENT_DIR  # and BENCH_<layer>.before.json
@@ -43,6 +48,7 @@ import sys
 import time
 from collections import Counter
 from contextlib import contextmanager, redirect_stdout
+from fractions import Fraction
 from functools import partial, reduce
 from itertools import combinations
 from pathlib import Path
@@ -52,7 +58,7 @@ import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 7
-MODULES = ("cli", "flows", "graphs", "simplex", "skeleton", "sparse_cut")
+MODULES = ("cli", "flows", "graphs", "simplex", "skeleton", "sparse_cut", "zonotopes")
 
 
 def load(checkout: Path) -> SimpleNamespace:
@@ -410,7 +416,63 @@ def measure_flows(libs) -> list[dict]:
     return [{"routings": dict(zip(ROUTINGS, side))} for side in zip(*entries)]
 
 
-LAYERS = {"simplex": measure_simplex, "expansion": measure_expansion, "flows": measure_flows}
+ZONOTOPE_SEED = 20240613
+CYCLE_ENTRIES = {"half": Fraction(1, 2), "third": Fraction(1, 3)}
+
+
+def cycle_and_paths(rng, size: int, entry: Fraction) -> list[list[Fraction]]:
+    """``size`` generators on ``size`` seeded coordinates: a cycle of 3 to
+    ``size`` generators entry * (e_a - e_b), then unit vectors, each
+    generator's sign flipped at random."""
+    cycle, coords = rng.randint(3, size), rng.sample(range(size), size)
+    gens = []
+    for t in range(size):
+        vec = [Fraction(0)] * size
+        if t < cycle:
+            vec[coords[t]], vec[coords[(t + 1) % cycle]] = entry, -entry
+        else:
+            vec[coords[t]] = Fraction(1)
+        gens.append([-x for x in vec] if rng.random() < 0.5 else vec)
+    return gens
+
+
+def repeated(run, calls: int) -> None:
+    for _ in range(calls):
+        run()
+
+
+def measure_zonotope(libs) -> list[dict]:
+    rng = random.Random(ZONOTOPE_SEED)
+    raw = {"%s:%d" % (kind, size): cycle_and_paths(rng, size, entry)
+           for size in range(5, 9) for kind, entry in CYCLE_ENTRIES.items()}
+    cases = {name: [lib.zonotopes.canonicalize(gens) for lib in libs]
+             for name, gens in raw.items()}
+    digests = {}
+    for name, sets in cases.items():
+        answers = [lib.zonotopes.vertices_with_signs(gs) for lib, gs in zip(libs, sets)]
+        refuse_unless_equal(name, answers, "vertex lists")
+        text = json.dumps([[signs, list(map(str, vertex))] for signs, vertex in answers[0]],
+                          separators=(",", ":")).encode()
+        digests[name] = (len(answers[0]), hashlib.sha256(text).hexdigest())
+    tables: list[dict] = [{} for _ in libs]
+    for name, sets in cases.items():
+        calls = 2 ** (9 - len(sets[0]))  # about 30-60 ms per timed sample
+        runs = [partial(repeated, partial(lib.zonotopes.vertices_with_signs, gs), calls)
+                for lib, gs in zip(libs, sets)]
+        vertices, digest = digests[name]
+        for table, gs, seconds in zip(tables, sets, median_s(runs)):
+            table[name] = {
+                "generators": len(gs),
+                "vertices": vertices,
+                "vertices_sha256": digest,
+                "median_s": round(seconds / calls, 5),
+                "us_per_sign_vector": round(1e6 * seconds / calls / 2 ** len(gs), 1),
+            }
+    return [{"seed": ZONOTOPE_SEED, "generator_sets": table} for table in tables]
+
+
+LAYERS = {"simplex": measure_simplex, "expansion": measure_expansion, "flows": measure_flows,
+          "zonotope": measure_zonotope}
 
 
 def main(argv=None) -> int:
