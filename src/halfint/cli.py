@@ -34,21 +34,9 @@ import sys
 from contextlib import nullcontext
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
-from math import prod
 from typing import Iterator, Optional
 
-from .flows import (
-    MAX_ROUTING_DIMENSION,
-    Routing,
-    bitfix_routing,
-    check_dimension,
-    congestion,
-    expansion_lower_bound,
-    hexagon_routing,
-    product_routing,
-    punctured_routing,
-    vertex_count,
-)
+from .flows import Routing, congestion, expansion_lower_bound, routing_of
 from .graphs import Graph, cartesian_product, expansion_bruteforce
 from .skeleton import skeleton_graph, skeleton_report
 from .sparse_cut import build, counts_to_json, cut_report
@@ -316,12 +304,6 @@ def _parse_factor(token: str) -> tuple[str, int]:
     return match.group(1), int(match.group(2))
 
 
-def _routing(family: str, d: int) -> Routing:
-    if family == "hexagon":
-        return hexagon_routing()
-    return bitfix_routing(d) if family == "cube" else punctured_routing(d)
-
-
 def _cmd_flow(args) -> Report:
     if args.factors is not None and args.family != "product":
         raise UsageError("--factors applies to the product family only")
@@ -333,15 +315,6 @@ def _cmd_flow(args) -> Report:
         factors = [_parse_factor(tok) for tok in args.factors.split(",")]
         if len(factors) < 2:
             raise UsageError("the product family needs at least two factors")
-        if prod(vertex_count(*f) for f in factors) > 2**MAX_ROUTING_DIMENSION:
-            raise UsageError(
-                "product routings are limited to %d vertices, the size of cube:%d"
-                % (2**MAX_ROUTING_DIMENSION, MAX_ROUTING_DIMENSION)
-            )
-        # every factor's dimension is checked before any routing is built
-        for family, d in factors:
-            if family != "hexagon":
-                check_dimension(family, d)
     elif args.family == "hexagon":
         if args.d is not None:
             raise UsageError("the hexagon family takes no dimension")
@@ -350,9 +323,7 @@ def _cmd_flow(args) -> Report:
         if args.d is None:
             raise UsageError("--d is required for family %r" % args.family)
         factors = [(args.family, args.d)]
-    routing, *others = [_routing(*factor) for factor in factors]
-    for other in others:
-        routing = product_routing(routing, other)
+    routing = routing_of(factors)
     report = congestion(routing)
     payload = dict(
         report.to_json(),

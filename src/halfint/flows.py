@@ -24,15 +24,17 @@ the 6-cycle with each demand split evenly over its shortest paths.  The
 bit-fixing paths of a source come from one prefix table.  The
 product construction routes each pair of factor demands through the
 vertex keeping the source's first coordinate and the target's second,
-each factor vertex routing to itself along a one-vertex path.
+each factor vertex routing to itself along a one-vertex path; no product
+may have more vertices than the largest cube routed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
-from math import lcm
+from math import lcm, prod
 from operator import and_, index, itemgetter, or_
 from typing import Callable, Optional
 
@@ -269,6 +271,12 @@ def vertex_count(family: str, d: int) -> int:
     return 2 ** min(d, MAX_ROUTING_DIMENSION + 1) - (2 if family == "punctured" else 0)
 
 
+def _check_product_size(vertices: int) -> None:
+    if vertices > 2**MAX_ROUTING_DIMENSION:
+        raise ValueError("product routings are limited to %d vertices, the size of cube:%d"
+                         % (2**MAX_ROUTING_DIMENSION, MAX_ROUTING_DIMENSION))
+
+
 def _all_pairs(graph: Graph, rule: Callable[[int], list[list[WeightedPath]]]) -> Routing:
     """Routing of ``graph`` that sends each ordered pair s != t along
     ``rule(s)[t]``, a list of (path, weight) pairs, in ascending order."""
@@ -357,10 +365,12 @@ def product_routing(rg: Routing, rh: Routing) -> Routing:
     Each factor vertex also routes to itself along the one-vertex path
     ``(u,)`` with weight 1, so a same-row or same-column pair reuses the
     other factor's paths inside its copy.  The congestion of the result
-    never exceeds the larger factor congestion.
+    never exceeds the larger factor congestion.  A product too large
+    for ``routing_of`` is refused before it is built.
     """
     g, h = rg.graph, rh.graph
     nh = h.n
+    _check_product_size(g.n * nh)
     gpaths = {(u, u): [((u,), ONE)] for u in range(g.n)} | rg.paths
     hpaths = {(v, v): [((v,), ONE)] for v in range(nh)} | rh.paths
     paths: dict[tuple[int, int], list[WeightedPath]] = {}
@@ -376,3 +386,18 @@ def product_routing(rg: Routing, rh: Routing) -> Routing:
                     combined.append((first_leg + second_leg, hw * gw))
             paths[(u1 * nh + v1, u2 * nh + v2)] = combined
     return Routing(cartesian_product(g, h), paths)
+
+
+def routing_of(factors: list[tuple[str, int]]) -> Routing:
+    """Routing of the product of ``factors``, (family, d) pairs ("hexagon"
+    ignores d).  Nothing is built until the product's size, for two or
+    more factors, and then every factor's dimension pass their checks."""
+    if len(factors) > 1:
+        _check_product_size(prod(vertex_count(*factor) for factor in factors))
+    for family, d in factors:
+        if family != "hexagon":
+            check_dimension(family, d)
+    return reduce(product_routing, [
+        hexagon_routing() if family == "hexagon"
+        else bitfix_routing(d) if family == "cube" else punctured_routing(d)
+        for family, d in factors])

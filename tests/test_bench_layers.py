@@ -1,12 +1,13 @@
 """The layer harness ``tools/bench_layers.py``: alternation and refusal."""
 
 import importlib.util
+import json
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from halfint import graphs, zonotopes
+from halfint import cli, flows, graphs, zonotopes
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py"
 _SPEC = importlib.util.spec_from_file_location("bench_layers", _PATH)
@@ -61,3 +62,12 @@ def test_zonotope_layer_refuses_a_different_vertex_list_before_timing(monkeypatc
         canonicalize=zonotopes.canonicalize, vertices_with_signs=one_vertex_short))
     with pytest.raises(SystemExit, match="half:5"):
         bench_layers.measure_zonotope([SimpleNamespace(zonotopes=zonotopes), stub])
+
+
+@pytest.mark.parametrize("name", sorted(bench_layers.ROUTINGS))
+def test_built_routing_has_the_congestion_of_its_flow_request(name):
+    lib = SimpleNamespace(cli=cli, flows=flows)
+    report = json.loads(bench_layers.request(lib, bench_layers.ROUTINGS[name]))
+    built = flows.congestion(bench_layers.build_routing(lib, name))
+    assert (built.vertex_count, str(built.congestion)) == (
+        report["vertex_count"], report["congestion"])

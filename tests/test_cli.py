@@ -48,13 +48,13 @@ def write_json(tmp_path, name, data):
     return str(path)
 
 
-def forbid(monkeypatch, *names):
-    """Make each named ``halfint.cli`` function fail the test if it is called."""
+def forbid(monkeypatch, *names, module="cli"):
+    """Make each named ``halfint.<module>`` function fail the test if it is called."""
     def unreachable(*args):
         raise AssertionError("a report was computed")
 
     for name in names:
-        monkeypatch.setattr("halfint.cli." + name, unreachable)
+        monkeypatch.setattr("halfint.%s.%s" % (module, name), unreachable)
 
 
 def test_sparsecut_counts(capsys):
@@ -285,7 +285,7 @@ _ROUTING_BUILDS = ("bitfix_routing", "punctured_routing", "hexagon_routing", "pr
 
 @pytest.fixture
 def no_routing_builds(monkeypatch):
-    forbid(monkeypatch, *_ROUTING_BUILDS)
+    forbid(monkeypatch, *_ROUTING_BUILDS, module="flows")
 
 
 @pytest.mark.parametrize(
@@ -335,7 +335,7 @@ def test_flow_product_size_guard_admits_up_to_cube_10(capsys, monkeypatch, facto
     def stop(rg, rh):
         raise ValueError("product of %d and %d vertices" % (rg.graph.n, rh.graph.n))
 
-    monkeypatch.setattr("halfint.cli.product_routing", stop)
+    monkeypatch.setattr("halfint.flows.product_routing", stop)
     code, _, err = run(capsys, "flow", "--family", "product", "--factors", factors)
     assert code == 2 and "error: product of" in err
 
@@ -694,7 +694,7 @@ def test_dot_format_for_every_report(capsys, monkeypatch, tmp_path, report):
         forbid(monkeypatch, "_load_json", "counts_to_json", "cut_report", "build",
                "skeleton_graph", "zonotope_vertices", "is_half_integral",
                "recognize_graphical", "realize_half_integral", "congestion",
-               "expansion_bruteforce", "cartesian_product", *_ROUTING_BUILDS)
+               "expansion_bruteforce", "cartesian_product", "routing_of")
     code, out, err = run(capsys, *argv, "--format", "dot")
     if report in _DOT_REPORTS:
         assert code == 0 and err == "" and out.startswith("graph G {\n")

@@ -19,6 +19,7 @@ from halfint.flows import (
     hexagon_routing,
     product_routing,
     punctured_routing,
+    routing_of,
     validate,
     vertex_count,
 )
@@ -581,6 +582,46 @@ def test_vertex_count_matches_the_built_routings():
     assert vertex_count("hexagon", 0) == hexagon_routing().graph.n
     # above the routed range every family counts as too large for a product
     assert vertex_count("cube", 99) == 2 ** (MAX_ROUTING_DIMENSION + 1)
+
+
+def test_routing_of_one_factor_is_its_routing():
+    _assert_same_routing(routing_of([("cube", 2)]), bitfix_routing(2))
+    _assert_same_routing(routing_of([("punctured", 3)]), punctured_routing(3))
+    _assert_same_routing(routing_of([("hexagon", 0)]), hexagon_routing())
+
+
+def test_routing_of_folds_the_factors_with_product_routing():
+    _assert_same_routing(routing_of([("cube", 1), ("hexagon", 0)]),
+                         product_routing(bitfix_routing(1), hexagon_routing()))
+
+
+@pytest.mark.parametrize(
+    "factors,message",
+    [
+        ([("cube", 10), ("cube", 1)], "product routings are limited to 1024 vertices"),
+        ([("cube", 1), ("punctured", 11), ("cube", 0)], "product routings are limited"),
+        ([("cube", 2), ("cube", 0)], "bitfix routing supported for 1 <= d <= 10"),
+        ([("punctured", 2)], "punctured routing supported for 3 <= d <= 10"),
+    ],
+    ids=["oversized", "oversized-before-range", "cube-range", "punctured-range"],
+)
+def test_routing_of_checks_before_building(monkeypatch, factors, message):
+    def unreachable(*args):
+        raise AssertionError("a routing was built")
+
+    for name in ("bitfix_routing", "punctured_routing", "hexagon_routing", "product_routing"):
+        monkeypatch.setattr("halfint.flows." + name, unreachable)
+    with pytest.raises(ValueError, match=message):
+        routing_of(factors)
+
+
+def test_product_routing_refuses_a_product_above_the_cap(monkeypatch):
+    monkeypatch.setattr("halfint.flows.MAX_ROUTING_DIMENSION", 3)
+    q2 = bitfix_routing(2)
+    assert product_routing(bitfix_routing(1), q2).graph.n == 8
+    with pytest.raises(ValueError, match="^product routings are limited to 8 vertices, "
+                                         "the size of cube:3$"):
+        product_routing(q2, q2)
 
 
 # ------------------------------------------- construction reference

@@ -2,9 +2,9 @@
 
 No linter ships with the test environment, so this stands in for the
 unused-import and dead-code checks.  Each module of ``src/halfint``
-except the package ``__init__`` (whose imports are its re-exports) is
-parsed with ``ast``, and every name a module-level import binds must
-occur as a ``Name``.  Every module-level private name (``_x``) defined
+except the package ``__init__`` (whose imports are its re-exports), and
+the layer harness ``tools/bench_layers.py``, is parsed with ``ast``, and
+every name a module-level import binds must occur as a ``Name``.  Every module-level private name (``_x``) defined
 anywhere in the package must be read somewhere in it: as a ``Name``, an
 attribute, or an imported name.
 """
@@ -14,8 +14,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = sorted((Path(__file__).resolve().parents[1] / "src" / "halfint").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "halfint").glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+TOOLS = [ROOT / "tools" / "bench_layers.py"]
 
 
 def _imported_names(tree):
@@ -32,7 +34,7 @@ def test_every_module_is_checked():
     assert MODULES
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", MODULES + TOOLS, ids=lambda p: p.stem)
 def test_module_level_imports_are_used(path):
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

@@ -1,10 +1,12 @@
 """Zonotope vertex enumeration, half-integrality, and graph recognition."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from halfint.cli import main
 from halfint.graphs import cycle_graph, is_isomorphic_via, make_graph
 from halfint.linalg import rank
 from halfint.simplex import lp_feasible
@@ -356,6 +358,28 @@ def test_recognize_rejects_quarter_generator():
     gs = canonicalize([(Fraction(1, 4), 0), (0, 1)])
     with pytest.raises(NotHalfIntegralError, match="half-integral"):
         recognize_graphical(gs)
+
+
+@pytest.mark.parametrize(
+    "gens,message",
+    [
+        ([(1, 0), (0, 1), (1, 2)],
+         "circuit (0, 1, 2) has non-unit coefficients ['1', '1/2', '-1/2']"),
+        ([*HEXAGON_GENS, (1, 0, 0)], "blocks share coordinates [0]"),
+    ],
+    ids=["non-unit-circuit", "shared-coordinates"],
+)
+def test_recognize_guards_behind_half_integrality(monkeypatch, capsys, tmp_path, gens, message):
+    # each input fails is_half_integral first; accepting it reaches the later guard
+    monkeypatch.setattr("halfint.zonotopes.is_half_integral", lambda gs: (True, None))
+    gs = canonicalize(gens)
+    with pytest.raises(NotHalfIntegralError) as raised:
+        recognize_graphical(gs)
+    assert str(raised.value) == message
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(gs.to_json()))
+    assert main(["zono", "--action", "recognize", "--in", str(path)]) == 3
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
 
 
 def test_graphical_generators_are_edge_differences():

@@ -353,11 +353,10 @@ ROUTINGS = {
 def build_routing(lib, name: str):
     """The routing a ``flow`` request builds for ``name``, a comma-separated
     list of cube:<d>, punctured:<d> and hexagon factors."""
-    flows = lib.flows
-    make = {"cube": flows.bitfix_routing, "punctured": flows.punctured_routing,
-            "hexagon": lambda _: flows.hexagon_routing()}
-    factors = [token.partition(":") for token in name.split(",")]
-    return reduce(flows.product_routing, [make[family](int(d or 0)) for family, _, d in factors])
+    factors = [lib.cli._parse_factor(token) for token in name.split(",")]
+    if not hasattr(lib.flows, "routing_of"):  # an older checkout picks builders in its CLI
+        return reduce(lib.flows.product_routing, [lib.cli._routing(*f) for f in factors])
+    return lib.flows.routing_of(factors)
 
 
 def request(lib, argv) -> str:
