@@ -50,6 +50,7 @@ from .flows import (
     hexagon_routing,
     product_routing,
     punctured_routing,
+    routing_of,
 )
 
 __all__ = [
@@ -90,6 +91,7 @@ __all__ = [
     "punctured_routing",
     "realize_half_integral",
     "recognize_graphical",
+    "routing_of",
     "skeleton_graph",
     "vertex_count_closed_form",
     "zonotope_vertices",

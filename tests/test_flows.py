@@ -595,6 +595,13 @@ def test_routing_of_folds_the_factors_with_product_routing():
                          product_routing(bitfix_routing(1), hexagon_routing()))
 
 
+def test_routing_of_is_exported_by_the_package():
+    import halfint
+
+    assert halfint.routing_of is routing_of
+    assert "routing_of" in halfint.__all__
+
+
 @pytest.mark.parametrize(
     "factors,message",
     [

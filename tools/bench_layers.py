@@ -49,7 +49,7 @@ import time
 from collections import Counter
 from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
@@ -353,10 +353,7 @@ ROUTINGS = {
 def build_routing(lib, name: str):
     """The routing a ``flow`` request builds for ``name``, a comma-separated
     list of cube:<d>, punctured:<d> and hexagon factors."""
-    factors = [lib.cli._parse_factor(token) for token in name.split(",")]
-    if not hasattr(lib.flows, "routing_of"):  # an older checkout picks builders in its CLI
-        return reduce(lib.flows.product_routing, [lib.cli._routing(*f) for f in factors])
-    return lib.flows.routing_of(factors)
+    return lib.flows.routing_of([lib.cli._parse_factor(token) for token in name.split(",")])
 
 
 def request(lib, argv) -> str:
