@@ -389,9 +389,17 @@ def product_routing(rg: Routing, rh: Routing) -> Routing:
 
 
 def routing_of(factors: list[tuple[str, int]]) -> Routing:
-    """Routing of the product of ``factors``, (family, d) pairs ("hexagon"
-    ignores d).  Nothing is built until the product's size, for two or
-    more factors, and then every factor's dimension pass their checks."""
+    """Routing of the product of ``factors``, one or more (family, d) pairs
+    with an integer d ("hexagon" ignores it).  Nothing is built until every
+    factor is well formed, the product's size, for two or more factors,
+    and then every factor's dimension pass their checks."""
+    if not factors:
+        raise ValueError("a routing needs at least one factor")
+    for factor in factors:
+        family, d = factor
+        if family not in ("hexagon", *_LOWEST_DIMENSION) or type(d) is not int:
+            raise ValueError("bad factor %r (expected a family cube, punctured or "
+                             "hexagon and an integer d)" % (factor,))
     if len(factors) > 1:
         _check_product_size(prod(vertex_count(*factor) for factor in factors))
     for family, d in factors:

@@ -1,13 +1,14 @@
 """Exact linear algebra over the rationals, in integer arithmetic.
 
-Row reduction, rank and minimal linear dependences (circuits) for small
-dense matrices.  This module holds the package's one elimination
-kernel, the fraction-free (Bareiss 1968) update that ``simplex`` also
-pivots with.  Each integer row holds ``det``, the last pivot, times a
-row of the rational reduction; a pivot ``p`` turns every other row
-``a``, whose entry in the pivot column is ``f``, into
-``(p * a - f * r) // det``, where ``r`` is the pivot row.  The division
-is exact by Sylvester's identity.  Results leave as ``Fraction``.
+Row reduction, rank and the fundamental circuits (minimal linear
+dependences) of a pivot basis, for small dense matrices.  This module
+holds the package's one elimination kernel, the fraction-free (Bareiss
+1968) update that ``simplex`` also pivots with.  Each integer row holds
+``det``, the last pivot, times a row of the rational reduction; a pivot
+``p`` turns every other row ``a``, whose entry in the pivot column is
+``f``, into ``(p * a - f * r) // det``, where ``r`` is the pivot row.
+The division is exact by Sylvester's identity.  Results leave as
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .rationals import integer_rows
+
+# A circuit's indices and its certifying coefficients.
+Circuit = tuple[tuple[int, ...], tuple[Fraction, ...]]
 
 
 def _eliminate(row: list[int], prow: list[int], column: int, det: int) -> list[int]:
@@ -61,33 +65,28 @@ def rank(rows: Sequence[Sequence]) -> int:
     return len(rref(rows)[1])
 
 
-def minimal_circuit(
-    vectors: Sequence[Sequence],
-) -> Optional[tuple[tuple[int, ...], tuple[Fraction, ...]]]:
-    """Inclusion-minimal dependent index set with certifying coefficients.
+def fundamental_circuits(vectors: Sequence[Sequence]) -> list[Circuit]:
+    """The fundamental circuits of the pivot basis of ``vectors``, from one ``rref``.
 
-    Returns ``(indices, coefficients)`` such that
-    ``sum(coefficients[k] * vectors[indices[k]]) == 0`` and every proper
-    subset of ``indices`` is linearly independent, or ``None`` when the
-    vectors are independent.  The dependence is the one produced by row
-    reduction for the first free column (a fundamental circuit of the
-    pivot basis, which is always inclusion-minimal), scaled so that its
-    first coefficient is +1.
+    One ``(indices, coefficients)`` pair per free column, in column order:
+    the column and the pivot columns it depends on, an inclusion-minimal
+    dependent set with ``sum(coefficients[k] * vectors[indices[k]]) == 0``,
+    scaled so that the first coefficient is +1.  ``[]`` when the vectors
+    are independent.
     """
-    n = len(vectors)
-    if n == 0:
-        return None
-    columns = [[vec[i] for vec in vectors] for i in range(len(vectors[0]))]
-    reduced, pivots = rref(columns)
-    pivot_row = {c: r for r, c in enumerate(pivots)}
-    free = next((c for c in range(n) if c not in pivot_row), None)
-    if free is None:
-        return None
-    x = [Fraction(0)] * n
-    x[free] = Fraction(1)
-    for col, r in pivot_row.items():
-        x[col] = -reduced[r][free]
-    support = tuple(i for i in range(n) if x[i] != 0)
-    lead = x[support[0]]
-    coeffs = tuple(x[i] / lead for i in support)
-    return support, coeffs
+    reduced, pivots = rref(list(zip(*vectors)))
+    circuits = []
+    for free in (col for col in range(len(vectors)) if col not in pivots):
+        x = {col: -reduced[r][free] for r, col in enumerate(pivots)}
+        x[free] = Fraction(1)
+        support = tuple(sorted(col for col, c in x.items() if c))
+        lead = x[support[0]]
+        circuits.append((support, tuple(x[col] / lead for col in support)))
+    return circuits
+
+
+def minimal_circuit(vectors: Sequence[Sequence]) -> Optional[Circuit]:
+    """The first of :func:`fundamental_circuits`, or ``None`` when the
+    vectors are independent."""
+    circuits = fundamental_circuits(vectors)
+    return circuits[0] if circuits else None

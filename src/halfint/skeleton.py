@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import pairwise
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graphs import Graph, make_graph
 from .rationals import integer_rows, point_label, point_to_strs
@@ -55,11 +55,6 @@ class PointSet:
             "dim": self.dim,
             "points": [point_to_strs(p) for p in self.points],
         }
-
-    @classmethod
-    def from_iterable(cls, dim: int, points: Iterable[Sequence]) -> "PointSet":
-        pts = tuple(tuple(Fraction(c) for c in p) for p in points)
-        return cls(dim=dim, points=pts)
 
 
 def hull_vertices(pset: PointSet) -> list[int]:

@@ -18,19 +18,21 @@ maximum degree two, i.e. disjoint unions of paths and cycles:
 * distinct circuit blocks occupy disjoint coordinate supports, and the
   leftover generators are linearly independent and form the path part.
 
-``recognize_graphical`` extracts that structure with a certificate and
-``realize_half_integral`` inverts it, producing canonical generators
-whose zonotope is half-integral.
+``recognize_graphical`` extracts that structure with a certificate,
+reading every circuit block off one row reduction (the fundamental
+circuits of its pivot basis), and ``realize_half_integral`` inverts it,
+producing canonical generators whose zonotope is half-integral.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .graphs import Graph, component_shapes, make_graph
-from .linalg import minimal_circuit
+from .linalg import fundamental_circuits
 from .rationals import HALF, ONE, ZERO, int_from_json, point_from_strs, point_to_strs
 from .simplex import convex_combination
 from .skeleton import PointSet
@@ -268,11 +270,12 @@ def recognize_graphical(gs: GeneratorSet) -> Decomposition:
 
     Half-integrality is checked first, by :func:`is_half_integral`; a
     rejection names the coordinate budget's violations if it has any,
-    and the generator entries otherwise.  Circuits are then peeled off
-    one at a time; each must certify with +-1 coefficients and a
-    coordinate support disjoint from everything else, otherwise the
-    input contradicts half-integrality and the error says which
-    condition broke.
+    and the generator entries otherwise.  One row reduction then gives
+    the fundamental circuits of the pivot basis (a direct sum's circuits
+    are exactly these); each must certify with +-1 coefficients, and the
+    circuits and the generators in none of them must occupy pairwise
+    disjoint coordinates, otherwise the input contradicts
+    half-integrality and the error says which condition broke.
     """
     if not is_half_integral(gs)[0]:
         ok, violations = coordinate_budget(gs)
@@ -283,41 +286,27 @@ def recognize_graphical(gs: GeneratorSet) -> Decomposition:
             "not half-integral: translated vertex coordinates leave {0, 1/2, 1}"
         )
     gens = gs.generators
-    remaining = list(range(len(gens)))
-    circuit_blocks = []
-    circuit_coeffs = []
-    while True:
-        found = minimal_circuit([gens[k] for k in remaining])
-        if found is None:
-            break
-        local, coeffs = found
-        block = tuple(remaining[t] for t in local)
+    circuits = fundamental_circuits(gens)
+    for block, coeffs in circuits:
         if any(abs(c) != 1 for c in coeffs):
             raise NotHalfIntegralError(
                 "circuit %s has non-unit coefficients %s"
                 % (block, [str(c) for c in coeffs])
             )
-        circuit_blocks.append(block)
-        circuit_coeffs.append(coeffs)
-        removed = set(block)
-        remaining = [k for k in remaining if k not in removed]
-    # minimal_circuit found no dependence, so these are independent
-    independent = tuple(remaining)
-    supports = [_support(gens, b) for b in circuit_blocks]
-    supports.append(_support(gens, independent))
-    for a in range(len(supports)):
-        for b in range(a + 1, len(supports)):
-            overlap = set(supports[a]) & set(supports[b])
-            if overlap:
-                raise NotHalfIntegralError(
-                    "blocks share coordinates %s" % sorted(overlap)
-                )
+    circuit_blocks = tuple(block for block, _ in circuits)
+    # each free column lies in its own circuit, so the rest are pivot columns
+    in_circuit = set().union(*circuit_blocks)
+    independent = tuple(k for k in range(len(gens)) if k not in in_circuit)
+    supports = tuple(_support(gens, b) for b in (*circuit_blocks, independent))
+    for a, b in combinations(supports, 2):
+        if overlap := set(a) & set(b):
+            raise NotHalfIntegralError("blocks share coordinates %s" % sorted(overlap))
     graph = _blocks_graph([len(b) for b in circuit_blocks], len(independent))
     return Decomposition(
-        circuit_blocks=tuple(circuit_blocks),
-        circuit_coefficients=tuple(circuit_coeffs),
+        circuit_blocks=circuit_blocks,
+        circuit_coefficients=tuple(coeffs for _, coeffs in circuits),
         independent_block=independent,
-        block_supports=tuple(supports),
+        block_supports=supports,
         graph=graph,
     )
 

@@ -247,7 +247,7 @@ def test_zero_one_polytopes_up_to_dimension_4_expand():
         if len(points) < 2:
             continue
         full_dimensional += np.linalg.matrix_rank(np.array(points[1:]) - points[0]) == 4
-        graph = skeleton_graph(PointSet.from_iterable(4, points))
+        graph = skeleton_graph(PointSet(4, tuple(tuple(map(Fraction, p)) for p in points)))
         values.append(expansion_bruteforce(graph)[0])
     assert full_dimensional == 347
     assert min(values) == 1

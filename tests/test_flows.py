@@ -609,8 +609,15 @@ def test_routing_of_is_exported_by_the_package():
         ([("cube", 1), ("punctured", 11), ("cube", 0)], "product routings are limited"),
         ([("cube", 2), ("cube", 0)], "bitfix routing supported for 1 <= d <= 10"),
         ([("punctured", 2)], "punctured routing supported for 3 <= d <= 10"),
+        ([], "^a routing needs at least one factor$"),
+        ([("cubes", 2)], r"^bad factor \('cubes', 2\) \(expected a family cube, punctured "
+                         r"or hexagon and an integer d\)$"),
+        ([("cube", 2.5)], r"^bad factor \('cube', 2.5\) "),
+        ([("cube", True)], r"^bad factor \('cube', True\) "),
+        ([("cube", 10), ("cube", 10), ("hexagon", None)], r"^bad factor \('hexagon', None\) "),
     ],
-    ids=["oversized", "oversized-before-range", "cube-range", "punctured-range"],
+    ids=["oversized", "oversized-before-range", "cube-range", "punctured-range", "empty",
+         "unknown-family", "float-d", "bool-d", "malformed-before-oversized"],
 )
 def test_routing_of_checks_before_building(monkeypatch, factors, message):
     def unreachable(*args):

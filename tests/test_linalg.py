@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from halfint.linalg import minimal_circuit, rank, rref
+from halfint.linalg import fundamental_circuits, minimal_circuit, rank, rref
 
 
 def F(x):
@@ -70,6 +70,25 @@ def test_minimal_circuit_halved_cycle():
     indices, coeffs = minimal_circuit(vecs)
     assert indices == (0, 1, 2)
     assert sorted(abs(c) for c in coeffs) == [1, 1, 1]
+
+
+def test_fundamental_circuits_in_free_column_order():
+    # two cycles on coordinates {0, 1, 2} and {3, 4, 5}, interleaved in
+    # column order, with one independent vector between them
+    a = [(1, -1, 0, 0, 0, 0, 0), (0, 1, -1, 0, 0, 0, 0), (-1, 0, 1, 0, 0, 0, 0)]
+    b = [(0, 0, 0, -2, 2, 0, 0), (0, 0, 0, 0, 1, -1, 0), (0, 0, 0, 1, 0, -1, 0)]
+    e = (0, 0, 0, 0, 0, 0, 1)
+    vecs = [tuple(F(x) for x in v) for v in (a[0], b[0], a[1], b[1], e, a[2], b[2])]
+    circuits = fundamental_circuits(vecs)
+    assert [indices for indices, _ in circuits] == [(0, 2, 5), (1, 3, 6)]
+    assert [coeffs for _, coeffs in circuits] == [(1, 1, 1), (1, -2, 2)]
+    for indices, coeffs in circuits:
+        assert coeffs[0] == 1 and all(type(c) is Fraction for c in coeffs)
+        for i in range(7):
+            assert sum(c * vecs[k][i] for k, c in zip(indices, coeffs)) == 0
+    assert minimal_circuit(vecs) == circuits[0]
+    assert fundamental_circuits([a[0], a[1], b[0], e]) == []
+    assert fundamental_circuits([]) == []
 
 
 def test_minimal_circuit_is_minimal():

@@ -19,62 +19,67 @@ from halfint.sparse_cut import iter_vertices
 H = Fraction(1, 2)
 
 
+def _points(dim, points):
+    """PointSet of ``points``, each coordinate read as a Fraction."""
+    return PointSet(dim, tuple(tuple(Fraction(c) for c in p) for p in points))
+
+
 def _cube_points(d):
-    return PointSet.from_iterable(
+    return _points(
         d, [tuple((v >> k) & 1 for k in range(d)) for v in range(2**d)]
     )
 
 
 def test_pointset_validation():
     with pytest.raises(ValueError):
-        PointSet.from_iterable(2, [(0, 0), (0, 0)])
+        _points(2, [(0, 0), (0, 0)])
     with pytest.raises(ValueError):
-        PointSet.from_iterable(2, [(0, 0, 0)])
+        _points(2, [(0, 0, 0)])
 
 
 def test_pointset_to_json_and_labels():
-    ps = PointSet.from_iterable(2, [(0, H), (1, 0)])
+    ps = _points(2, [(0, H), (1, 0)])
     assert ps.to_json() == {"dim": 2, "points": [["0", "1/2"], ["1", "0"]]}
     assert ps.labels == ("0,1/2", "1,0")
 
 
 def test_hull_vertices_drops_interior_and_segment_points():
-    ps = PointSet.from_iterable(2, [(0, 0), (2, 0), (0, 2), (1, 1), (H, H)])
+    ps = _points(2, [(0, 0), (2, 0), (0, 2), (1, 1), (H, H)])
     verts = hull_vertices(ps)
     # (1,1) is the midpoint of the hypotenuse, (1/2,1/2) is interior
     assert verts == [0, 1, 2]
 
 
 def test_hull_vertices_all_of_simplex():
-    ps = PointSet.from_iterable(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    ps = _points(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert hull_vertices(ps) == [0, 1, 2, 3]
     # a single point is a 0-simplex: its own hull vertex, with no edges
-    point = PointSet.from_iterable(2, [(H, 1)])
+    point = _points(2, [(H, 1)])
     assert hull_vertices(point) == [0]
     assert hull_edges(point) == []
 
 
 def test_hull_edges_requires_vertex_input():
-    ps = PointSet.from_iterable(2, [(0, 0), (2, 0), (0, 2), (1, 1)])
+    ps = _points(2, [(0, 0), (2, 0), (0, 2), (1, 1)])
     with pytest.raises(ValueError, match="1,1"):
         hull_edges(ps)
 
 
 def test_square_edges_exclude_diagonals():
-    ps = PointSet.from_iterable(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    ps = _points(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
     assert hull_edges(ps) == [(0, 1), (0, 2), (1, 3), (2, 3)]
 
 
 def test_pentagon_diagonals_rejected():
     # irregular pentagon where a diagonal's midpoint leaves the hull of
     # the other three vertices; the adjacency oracle must still say "no"
-    ps = PointSet.from_iterable(2, [(0, 0), (1, 0), (1, H), (H, 1), (0, 1)])
+    ps = _points(2, [(0, 0), (1, 0), (1, H), (H, 1), (0, 1)])
     edges = hull_edges(ps)
     assert edges == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
 
 
 def test_two_points_form_an_edge():
-    ps = PointSet.from_iterable(2, [(0, 0), (1, 1)])
+    ps = _points(2, [(0, 0), (1, 1)])
     assert hull_edges(ps) == [(0, 1)]
 
 
@@ -93,14 +98,14 @@ def test_octahedron_skeleton():
             p = [0, 0, 0]
             p[k] = s
             pts.append(tuple(p))
-    g = skeleton_graph(PointSet.from_iterable(3, pts))
+    g = skeleton_graph(_points(3, pts))
     # every pair except the three antipodal ones
     assert len(g.edges) == 12
     assert all(len(g.adjacency()[v]) == 4 for v in range(6))
 
 
 def test_skeleton_report_shape():
-    ps = PointSet.from_iterable(2, [(0, 0), (1, 0), (0, 1)])
+    ps = _points(2, [(0, 0), (1, 0), (0, 1)])
     g = skeleton_graph(ps)
     report = skeleton_report(ps, g)
     assert report["vertex_count"] == 3
@@ -114,8 +119,8 @@ def test_edges_ignore_scaling_by_thirds_and_negative_shift():
     prism = [(x, y, z) for z in (0, 1) for x, y in ((0, 0), (1, 0), (0, 1))]
     moved = [tuple(Fraction(c, 3) - 1 for c in p) for p in prism]
     expected = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
-    assert hull_edges(PointSet.from_iterable(3, prism)) == expected
-    assert hull_edges(PointSet.from_iterable(3, moved)) == expected
+    assert hull_edges(_points(3, prism)) == expected
+    assert hull_edges(_points(3, moved)) == expected
 
 
 def _edges_from_phase1(pset):

@@ -3,15 +3,17 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from halfint.cli import main
 from halfint.graphs import cycle_graph, is_isomorphic_via, make_graph
-from halfint.linalg import rank
+from halfint.linalg import minimal_circuit, rank, rref
 from halfint.simplex import lp_feasible
 from halfint.zonotopes import (
     MAX_VERTEX_ENUM_GENERATORS,
+    Decomposition,
     GeneratorSet,
     NotHalfIntegralError,
     canonicalize,
@@ -23,6 +25,7 @@ from halfint.zonotopes import (
     vertices_with_signs,
     zonotope_vertices,
 )
+from halfint.zonotopes import _blocks_graph, _support
 
 H = Fraction(1, 2)
 
@@ -360,15 +363,15 @@ def test_recognize_rejects_quarter_generator():
         recognize_graphical(gs)
 
 
-@pytest.mark.parametrize(
-    "gens,message",
-    [
-        ([(1, 0), (0, 1), (1, 2)],
-         "circuit (0, 1, 2) has non-unit coefficients ['1', '1/2', '-1/2']"),
-        ([*HEXAGON_GENS, (1, 0, 0)], "blocks share coordinates [0]"),
-    ],
-    ids=["non-unit-circuit", "shared-coordinates"],
-)
+# Inputs that reach recognize_graphical's guards once is_half_integral accepts them.
+GUARDED = [
+    ([(1, 0), (0, 1), (1, 2)],
+     "circuit (0, 1, 2) has non-unit coefficients ['1', '1/2', '-1/2']"),
+    ([*HEXAGON_GENS, (1, 0, 0)], "blocks share coordinates [0]"),
+]
+
+
+@pytest.mark.parametrize("gens,message", GUARDED, ids=["non-unit-circuit", "shared-coordinates"])
 def test_recognize_guards_behind_half_integrality(monkeypatch, capsys, tmp_path, gens, message):
     # each input fails is_half_integral first; accepting it reaches the later guard
     monkeypatch.setattr("halfint.zonotopes.is_half_integral", lambda gs: (True, None))
@@ -380,6 +383,77 @@ def test_recognize_guards_behind_half_integrality(monkeypatch, capsys, tmp_path,
     path.write_text(json.dumps(gs.to_json()))
     assert main(["zono", "--action", "recognize", "--in", str(path)]) == 3
     assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
+def _peeled(gs):
+    """Recognition past the half-integrality gate as it once ran, kept as
+    the reference: a fresh ``minimal_circuit`` of the generators left
+    after each circuit is removed."""
+    gens = gs.generators
+    remaining = list(range(len(gens)))
+    blocks, coefficients = [], []
+    while (found := minimal_circuit([gens[k] for k in remaining])) is not None:
+        local, coeffs = found
+        block = tuple(remaining[t] for t in local)
+        if any(abs(c) != 1 for c in coeffs):
+            raise NotHalfIntegralError(
+                "circuit %s has non-unit coefficients %s" % (block, [str(c) for c in coeffs])
+            )
+        blocks.append(block)
+        coefficients.append(coeffs)
+        remaining = [k for k in remaining if k not in block]
+    supports = [_support(gens, b) for b in blocks] + [_support(gens, remaining)]
+    for a, b in combinations(supports, 2):
+        if set(a) & set(b):
+            raise NotHalfIntegralError("blocks share coordinates %s" % sorted(set(a) & set(b)))
+    graph = _blocks_graph([len(b) for b in blocks], len(remaining))
+    return Decomposition(tuple(blocks), tuple(coefficients), tuple(remaining), tuple(supports), graph)
+
+
+def _seeded_unions(rng, count):
+    """Path/cycle unions with 1-12 edges, realized, then with their
+    coordinates shuffled and a random set of them negated."""
+    while count:
+        kinds = [rng.choice(("cycle", "path")) for _ in range(rng.randint(1, 4))]
+        cls = [(k, rng.randint(3, 5) if k == "cycle" else rng.randint(2, 4)) for k in kinds]
+        gs = realize_half_integral(_build_union(cls))
+        if len(gs) > 12:
+            continue
+        order = rng.sample(range(gs.dim), gs.dim)
+        flips = [rng.choice((1, -1)) for _ in order]
+        count -= 1
+        yield canonicalize([tuple(f * g[i] for f, i in zip(flips, order)) for g in gs.generators])
+
+
+def test_recognize_matches_the_peeling_reference(monkeypatch):
+    rng = random.Random(20261021)
+    several = 0
+    for gs in _seeded_unions(rng, 300):
+        dec = recognize_graphical(gs)
+        assert dec == _peeled(gs), gs
+        several += len(dec.circuit_blocks) > 1
+    assert several >= 50
+    monkeypatch.setattr("halfint.zonotopes.is_half_integral", lambda gs: (True, None))
+    for gens, message in GUARDED:
+        gs = canonicalize(gens)
+        for recognize in (recognize_graphical, _peeled):
+            with pytest.raises(NotHalfIntegralError) as raised:
+                recognize(gs)
+            assert str(raised.value) == message
+
+
+def test_recognize_reduces_once(monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return rref(rows)
+
+    monkeypatch.setattr("halfint.linalg.rref", counted)
+    union = [("cycle", 3), ("cycle", 4), ("path", 3), ("cycle", 5)]
+    dec = recognize_graphical(realize_half_integral(_build_union(union)))
+    assert dec.component_profile() == ((3, 4, 5), 2)
+    assert len(calls) == 1
 
 
 def test_graphical_generators_are_edge_differences():
