@@ -38,6 +38,7 @@ from typing import Iterator, Optional
 
 from .flows import Routing, congestion, expansion_lower_bound, routing_of
 from .graphs import Graph, cartesian_product, expansion_bruteforce
+from .rationals import int_from_digits
 from .skeleton import skeleton_graph, skeleton_report
 from .sparse_cut import build, counts_to_json, cut_report
 from .zonotopes import (
@@ -67,10 +68,6 @@ _RATIONAL = re.compile(r"-?\d+/\d+\Z")
 # the only ones with a DOT rendering
 _GRAPH_REPORTS = {("sparsecut", "skeleton"), ("zono", "recognize"), ("graph", "product")}
 Report = tuple[dict, Optional[Graph]]  # a JSON payload and its graph, if any
-
-
-class UsageError(ValueError):
-    """Bad arguments or a desk-scale guard violation (exit code 2)."""
 
 
 def _approx(text: str) -> str:
@@ -210,45 +207,46 @@ def _emit(args, payload: dict, graph: Optional[Graph]) -> None:
             fh.writelines(_report(args, payload, graph))
             fh.flush()
     except OSError as exc:
-        raise UsageError("cannot write output: %s" % exc)
+        raise ValueError("cannot write output: %s" % exc)
 
 
 def _load_json(path: Optional[str], what: str):
     """The JSON value at ``path`` (stdin for None or ``-``); an object
-    that repeats a key is refused rather than keeping its last value."""
+    that repeats a key is refused rather than keeping its last value,
+    and an integer too long for ``int`` gets a message of its own."""
+    malformed = "malformed %s input: " % what
 
     def unique(pairs):
         data = {}
         for key, value in pairs:
             if key in data:
-                raise UsageError("malformed %s input: key %r repeats" % (what, key))
+                raise ValueError(malformed + "key %r repeats" % (key,))
             data[key] = value
         return data
 
+    integer = functools.partial(int_from_digits, what=malformed + "an integer")
     try:
-        if path is None or path == "-":
-            return json.load(sys.stdin, object_pairs_hook=unique)
-        with open(path) as fh:
-            return json.load(fh, object_pairs_hook=unique)
+        with nullcontext(sys.stdin) if path is None or path == "-" else open(path) as fh:
+            return json.load(fh, object_pairs_hook=unique, parse_int=integer)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
-        raise UsageError("cannot read input: %s" % exc)
+        raise ValueError("cannot read input: %s" % exc)
 
 
 def _load(path: Optional[str], parse, what: str):
     data = _load_json(path, what)
     if not isinstance(data, dict):
-        raise UsageError("malformed %s input: the input is not a JSON object" % what)
+        raise ValueError("malformed %s input: the input is not a JSON object" % what)
     try:
         return parse(data)
     except KeyError as exc:
-        raise UsageError("malformed %s input: missing key %s" % (what, exc))
+        raise ValueError("malformed %s input: missing key %s" % (what, exc))
     except (TypeError, ValueError) as exc:
-        raise UsageError("malformed %s input: %s" % (what, exc))
+        raise ValueError("malformed %s input: %s" % (what, exc))
 
 
 def _cmd_sparsecut(args) -> Report:
     if args.d > CLOSED_FORM_MAX_DIMENSION:
-        raise UsageError(
+        raise ValueError(
             "sparse-cut reports are limited to d <= %d" % CLOSED_FORM_MAX_DIMENSION
         )
     if args.report == "counts":
@@ -256,9 +254,7 @@ def _cmd_sparsecut(args) -> Report:
     if args.report == "cut":
         return cut_report(args.d).to_json(), None
     if args.d > SKELETON_MAX_DIMENSION:
-        raise UsageError(
-            "skeleton reports are limited to d <= %d" % SKELETON_MAX_DIMENSION
-        )
+        raise ValueError("skeleton reports are limited to d <= %d" % SKELETON_MAX_DIMENSION)
     instance = build(args.d)
     graph = skeleton_graph(instance.vertices)
     return skeleton_report(instance.vertices, graph), graph
@@ -289,7 +285,10 @@ def _integer(text: str) -> int:
     in the JSON readers (``int`` also takes other decimal digits and ``_``)."""
     if _INTEGER.match(text) is None:
         raise argparse.ArgumentTypeError("invalid integer %r" % text)
-    return int(text)
+    try:
+        return int_from_digits(text, "the value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError("invalid integer: %s" % exc)
 
 
 def _parse_factor(token: str) -> tuple[str, int]:
@@ -298,30 +297,30 @@ def _parse_factor(token: str) -> tuple[str, int]:
         return token, 0
     match = _FACTOR.match(token)
     if match is None:
-        raise UsageError(
+        raise ValueError(
             "bad factor %r (expected cube:<d>, punctured:<d>, or hexagon)" % token
         )
-    return match.group(1), int(match.group(2))
+    return match.group(1), int_from_digits(match.group(2), "a factor's dimension")
 
 
 def _cmd_flow(args) -> Report:
     if args.factors is not None and args.family != "product":
-        raise UsageError("--factors applies to the product family only")
+        raise ValueError("--factors applies to the product family only")
     if args.family == "product":
         if args.d is not None:
-            raise UsageError("the product family takes its dimensions from --factors")
+            raise ValueError("the product family takes its dimensions from --factors")
         if not args.factors:
-            raise UsageError("the product family requires --factors")
+            raise ValueError("the product family requires --factors")
         factors = [_parse_factor(tok) for tok in args.factors.split(",")]
         if len(factors) < 2:
-            raise UsageError("the product family needs at least two factors")
+            raise ValueError("the product family needs at least two factors")
     elif args.family == "hexagon":
         if args.d is not None:
-            raise UsageError("the hexagon family takes no dimension")
+            raise ValueError("the hexagon family takes no dimension")
         factors = [("hexagon", 0)]
     else:
         if args.d is None:
-            raise UsageError("--d is required for family %r" % args.family)
+            raise ValueError("--d is required for family %r" % args.family)
         factors = [(args.family, args.d)]
     routing = routing_of(factors)
     report = congestion(routing)
@@ -338,20 +337,18 @@ def _cmd_flow(args) -> Report:
 def _cmd_graph(args) -> Report:
     if args.action == "expansion":
         if args.input2 is not None:
-            raise UsageError("--in2 applies to the product action only")
+            raise ValueError("--in2 applies to the product action only")
         graph = _load(args.input, Graph.from_json, "graph")
         value, witness = expansion_bruteforce(graph)
         return {"expansion": str(value), "witness": witness.to_json(graph)}, None
     if args.input2 is None:
-        raise UsageError("the product action requires a second graph (--in2)")
+        raise ValueError("the product action requires a second graph (--in2)")
     graph = _load(args.input, Graph.from_json, "graph")
     other = _load(args.input2, Graph.from_json, "graph")
     if graph.n * other.n > PRODUCT_MAX_VERTICES:
-        raise UsageError(
-            "graph products are limited to %d vertices" % PRODUCT_MAX_VERTICES
-        )
+        raise ValueError("graph products are limited to %d vertices" % PRODUCT_MAX_VERTICES)
     if graph.n * len(other.edges) + other.n * len(graph.edges) > PRODUCT_MAX_EDGES:
-        raise UsageError("graph products are limited to %d edges" % PRODUCT_MAX_EDGES)
+        raise ValueError("graph products are limited to %d edges" % PRODUCT_MAX_EDGES)
     product = cartesian_product(graph, other)
     return product.to_json(), product
 
@@ -438,9 +435,9 @@ def main(argv=None) -> int:
     mode = getattr(args, "report", getattr(args, "action", None))
     try:
         if args.approx and args.format == "dot":
-            raise UsageError("--approx does not apply to --format dot")
+            raise ValueError("--approx does not apply to --format dot")
         if args.format == "dot" and (args.command, mode) not in _GRAPH_REPORTS:
-            raise UsageError("this report has no DOT rendering")
+            raise ValueError("this report has no DOT rendering")
         _emit(args, *args.func(args))
         return 0
     except ValueError as exc:

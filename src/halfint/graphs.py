@@ -121,16 +121,14 @@ class CutReport:
     subset_size: int
     ratio: Fraction
 
-    def to_json(self, graph: Optional[Graph] = None) -> dict:
-        data = {
+    def to_json(self, graph: Graph) -> dict:
+        return {
             "subset": list(self.subset),
+            "subset_labels": [graph.labels[i] for i in self.subset],
             "boundary_size": self.boundary_size,
             "subset_size": self.subset_size,
             "ratio": str(self.ratio),
         }
-        if graph is not None:
-            data["subset_labels"] = [graph.labels[i] for i in self.subset]
-        return data
 
 
 def cut_ratio(graph: Graph, subset: Iterable[int]) -> CutReport:
@@ -321,44 +319,34 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
     return make_graph(labels, edges)
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex lists of the components, each sorted, ordered by minimum vertex."""
-    adj = g.adjacency()
-    seen = [False] * g.n
-    components = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        components.append(sorted(comp))
-    return components
-
-
 def component_shapes(g: Graph) -> list[tuple[int, bool]]:
     """(edge count, is cycle) of each component of a degree-<=2 graph.
 
-    Components are ordered by minimum vertex, as in
-    ``connected_components``.  With every degree at most two, a
-    component is a cycle exactly when it has as many edges as vertices;
-    isolated vertices read (0, False).
+    One walk per component, in order of its smallest vertex, counts its
+    vertices and its degree sum, twice its edge count.  With every
+    degree at most two, a component is a cycle exactly when it has as
+    many edges as vertices; isolated vertices read (0, False).
     """
     adj = g.adjacency()
     bad = next((v for v, neigh in enumerate(adj) if len(neigh) > 2), None)
     if bad is not None:
         raise ValueError("vertex %d has degree %d > 2" % (bad, len(adj[bad])))
+    seen = [False] * g.n
     shapes = []
-    for comp in connected_components(g):
-        edge_count = sum(len(adj[v]) for v in comp) // 2
-        shapes.append((edge_count, edge_count == len(comp)))
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack, vertices, degrees = [start], 0, 0
+        while stack:
+            neigh = adj[stack.pop()]
+            vertices += 1
+            degrees += len(neigh)
+            for w in neigh:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        shapes.append((degrees // 2, degrees // 2 == vertices))
     return shapes
 
 

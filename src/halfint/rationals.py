@@ -17,6 +17,7 @@ passes ``Fraction``s: scaling once there is a speed change left for later.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -43,7 +44,16 @@ def rational_from_str(text: str) -> Fraction:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ValueError("not p/q or p in ASCII digits, q nonzero: %r" % text)
-    return Fraction(text)
+    p, _, q = text.partition("/")
+    return Fraction(int_from_digits(p, "a numerator"), int_from_digits(q or "1", "a denominator"))
+
+
+def int_from_digits(text: str, what: str) -> int:
+    """``int(text)``, or past Python's int-to-string digit limit a ValueError naming ``what``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("%s has more than %d digits" % (what, sys.get_int_max_str_digits())) from None
 
 
 def integer_rows(rows: Sequence[Sequence], factor: int = 1) -> tuple[int, list[list[int]]]:

@@ -134,6 +134,42 @@ def test_integer_options_take_ascii_digits_only(capsys, argv):
     assert "invalid integer" in err and "Traceback" not in err
 
 
+LONG = "1" + "0" * 5000  # past Python's default limit of 4,300 digits for int()
+TOO_LONG = " has more than %d digits\n" % sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (("zono", "--action", "check"), '{"dim": %s, "generators": [["1"]]}' % LONG,
+         "error: malformed generator input: an integer"),
+        (("zono", "--action", "check"), '{"dim": 1, "generators": [["-%s"]]}' % LONG,
+         "error: malformed generator input: a numerator"),
+        (("zono", "--action", "check"), '{"dim": 1, "generators": [["1/%s"]]}' % LONG,
+         "error: malformed generator input: a denominator"),
+        (("zono", "--action", "realize"), '{"labels": ["a", "b"], "edges": [[0, %s]]}' % LONG,
+         "error: malformed graph input: an integer"),
+        (("graph", "--action", "expansion"), '{"n": -%s, "labels": [], "edges": []}' % LONG,
+         "error: malformed graph input: an integer"),
+        (("flow", "--family", "product", "--factors", "cube:%s,cube:1" % LONG), None,
+         "error: a factor's dimension"),
+        (("flow", "--family", "cube", "--d", LONG), None,
+         "argument --d: invalid integer: the value"),
+        (("sparsecut", "--d", "-" + LONG), None,
+         "argument --d: invalid integer: the value"),
+    ],
+    ids=["zono-dim", "generator-numerator", "generator-denominator", "realize-edge-index",
+         "graph-vertex-count", "flow-factor", "flow-d", "sparsecut-d"],
+)
+def test_over_long_integers_are_named(capsys, monkeypatch, argv, text, message):
+    if text is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.endswith(message + TOO_LONG)
+    assert "set_int_max_str_digits" not in err and "Traceback" not in err
+
+
 def test_zono_recognize_cycle(capsys, tmp_path):
     path = write_json(tmp_path, "gens.json", HEX_GENS)
     code, out, _ = run(capsys, "zono", "--action", "recognize", "--in", path)

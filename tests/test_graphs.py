@@ -12,7 +12,6 @@ from halfint.graphs import (
     Graph,
     cartesian_product,
     component_shapes,
-    connected_components,
     cut_ratio,
     cycle_graph,
     cycle_path_profile,
@@ -284,8 +283,84 @@ def test_induced_subgraph_and_components():
     g = make_graph("abcdef", [(0, 1), (1, 2), (3, 4)])
     sub = induced_subgraph(g, [0, 1, 2, 5])
     assert sub.n == 4 and len(sub.edges) == 2
-    comps = connected_components(g)
-    assert [sorted(c) for c in comps] == [[0, 1, 2], [3, 4], [5]]
+    # components {0, 1, 2}, {3, 4} and {5}, in order of smallest vertex
+    assert component_shapes(g) == [(2, False), (1, False), (0, False)]
+
+
+def _shapes_by_vertex_lists(g):
+    """Reference: component vertex lists by a separate search, then the
+    degree sum over each list."""
+    adj = g.adjacency()
+    bad = next((v for v, neigh in enumerate(adj) if len(neigh) > 2), None)
+    if bad is not None:
+        raise ValueError("vertex %d has degree %d > 2" % (bad, len(adj[bad])))
+    seen = [False] * g.n
+    shapes = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack, comp = [start], []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        edge_count = sum(len(adj[v]) for v in comp) // 2
+        shapes.append((edge_count, edge_count == len(comp)))
+    return shapes
+
+
+def _random_degree_two_graph(rng):
+    """Cycles, paths and isolated vertices on shuffled vertex numbers;
+    about one graph in five also gets a chord at a cycle or path vertex."""
+    sizes = [rng.choice([1, 1, 2, 3, 4, 5, 7]) for _ in range(rng.randint(1, 6))]
+    order = list(range(sum(sizes)))
+    rng.shuffle(order)
+    edges, start = [], 0
+    for k in sizes:
+        block = order[start:start + k]
+        start += k
+        edges.extend(zip(block, block[1:]))
+        if k >= 3 and rng.random() < 0.5:
+            edges.append((block[-1], block[0]))
+    if len(order) >= 4 and rng.random() < 0.2:
+        u = rng.choice([v for e in edges for v in e] or order)
+        w = rng.choice([v for v in order if v != u])
+        edges.append((u, w))
+    return make_graph([str(v) for v in range(len(order))], edges)
+
+
+def test_component_shapes_match_vertex_list_reference():
+    rng = random.Random(29)
+    refused = 0
+    for _ in range(300):
+        g = _random_degree_two_graph(rng)
+        try:
+            expected = _shapes_by_vertex_lists(g)
+        except ValueError as exc:
+            refused += 1
+            with pytest.raises(ValueError, match="^%s$" % exc):
+                component_shapes(g)
+        else:
+            assert component_shapes(g) == expected
+    assert 0 < refused < 100
+
+
+def test_component_shapes_builds_adjacency_once(monkeypatch):
+    calls = []
+    adjacency = Graph.adjacency
+
+    def counted(self):
+        calls.append(self)
+        return adjacency(self)
+
+    monkeypatch.setattr(Graph, "adjacency", counted)
+    g = make_graph("abcdefg", [(0, 1), (1, 2), (2, 0), (4, 5)])
+    assert component_shapes(g) == [(3, True), (0, False), (1, False), (0, False)]
+    assert len(calls) == 1
 
 
 def test_cycle_path_profile():
